@@ -25,7 +25,6 @@ from sfcar.errors import (
     QuadratureError,
     SfcarError,
 )
-from sfcar.kernels import backend_name
 from sfcar.lattice import TorusSpec, dense_gaussian_rates, torus_rates
 from sfcar.model import (
     NoiseModel,
@@ -55,6 +54,12 @@ from sfcar.rates import (
 from sfcar.special import bessel_k1, complete_elliptic_k
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the code path that evaluates the rates; NumPy is the only one."""
+    return "numpy"
+
 
 __all__ = [
     "backend_name",

@@ -3,10 +3,12 @@
 Subcommands: rates, map, sweep, optimize, validate.  Every command takes
 --format {csv|json}, --output PATH and --config PATH (a JSON file whose
 keys match the command's option names; explicit flags override file
-values).  Output tables are plot-ready: CSV with a fixed header row, or
-a JSON array of flat records with identical field names.  Floats are
-emitted in shortest round-trip form, so outputs keep full double
-precision and can serve as regression fixtures.
+values, and a key the command lacks or a value its flag would reject is
+invalid input).  Numeric options must be finite.  Output tables are
+plot-ready: CSV with a fixed header row, or a JSON array of flat records
+with identical field names.  Floats are emitted in shortest round-trip
+form, so outputs keep full double precision and can serve as regression
+fixtures.
 
 Exit codes: 0 success, 2 invalid input, 3 no feasible density.
 """
@@ -54,11 +56,21 @@ SWEEP_FIELDS = [
 ]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument as a DomainError, so that flags and config
+    file values fail the same way: one message and exit code 2."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    _merge_config_file(args)
     try:
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            args = _apply_config_file(parser, argv, args)
         return args.handler(args)
     except (DomainError, DivergenceError, QuadratureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -68,13 +80,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NO_FEASIBLE
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default=None, help="output path (default stdout)")
     common.add_argument("--config", default=None, help="JSON file with option values")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sfcar",
         description="Information rates and density planning for 2-D "
         "conditionally autoregressive Gauss-Markov fields",
@@ -82,47 +104,74 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rates", parents=[common], help="per-node rates at one point")
-    p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--snr-db", type=float, default=None)
+    p.add_argument("--zeta", type=_finite, default=None)
+    p.add_argument("--snr-db", type=_finite, default=None)
     p.set_defaults(handler=_cmd_rates)
 
     p = sub.add_parser("map", parents=[common], help="spacing -> rho -> zeta chain")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--spacing", type=float, default=None)
+    p.add_argument("--alpha", type=_finite, default=None)
+    p.add_argument("--spacing", type=_finite, default=None)
     p.set_defaults(handler=_cmd_map)
 
     for name, handler in (("sweep", _cmd_sweep), ("optimize", _cmd_optimize)):
         p = sub.add_parser(name, parents=[common], help=f"density {name}")
-        p.add_argument("--L", type=float, default=None, help="coverage half-width")
-        p.add_argument("--E", type=float, default=None, help="total energy budget (J)")
-        p.add_argument("--alpha", type=float, default=None, help="diffusion rate")
-        p.add_argument("--beta", type=float, default=None, help="SNR per joule")
-        p.add_argument("--E0", type=float, default=None, help="per-edge energy coefficient")
-        p.add_argument("--nu", type=float, default=None, help="path-loss exponent")
+        p.add_argument("--L", type=_finite, default=None, help="coverage half-width")
+        p.add_argument(
+            "--E", type=_finite, default=None, help="total energy budget (J)"
+        )
+        p.add_argument("--alpha", type=_finite, default=None, help="diffusion rate")
+        p.add_argument("--beta", type=_finite, default=None, help="SNR per joule")
+        p.add_argument(
+            "--E0", type=_finite, default=None, help="per-edge energy coefficient"
+        )
+        p.add_argument("--nu", type=_finite, default=None, help="path-loss exponent")
         p.add_argument("--n-min", type=int, default=None)
         p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--mu-min", type=float, default=None, help="density lower bound")
-        p.add_argument("--mu-max", type=float, default=None, help="density upper bound")
+        p.add_argument(
+            "--mu-min", type=_finite, default=None, help="density lower bound"
+        )
+        p.add_argument(
+            "--mu-max", type=_finite, default=None, help="density upper bound"
+        )
         p.add_argument("--objective", choices=("kli", "mi"), default=None)
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("validate", parents=[common], help="torus vs quadrature gaps")
-    p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--snr-db", type=float, default=None)
+    p.add_argument("--zeta", type=_finite, default=None)
+    p.add_argument("--snr-db", type=_finite, default=None)
     p.add_argument("--N", type=int, nargs="+", default=None, help="torus sizes")
     p.set_defaults(handler=_cmd_validate)
     return parser
 
 
-def _merge_config_file(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    with open(args.config, encoding="utf-8") as fh:
-        values = json.load(fh)
+def _apply_config_file(
+    parser: argparse.ArgumentParser, argv: list[str], args: argparse.Namespace
+) -> argparse.Namespace:
+    # The file's values are parsed as flags placed before the command
+    # line's own, so they pass the same checks and explicit flags win.
+    path = args.config
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"--config {path}: {exc}") from None
+    if not isinstance(values, dict):
+        raise DomainError(f"--config {path}: expected a JSON object of option values")
+    tokens = []
     for key, value in values.items():
         dest = key.replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
+        if dest in ("command", "handler", "config") or not hasattr(args, dest):
+            raise DomainError(f"--config {path}: {args.command} has no option {key!r}")
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        else:
+            tokens.append(f"{flag}={value}")
+    at = argv.index(args.command) + 1
+    try:
+        return parser.parse_args(argv[:at] + tokens + argv[at:])
+    except DomainError as exc:
+        raise DomainError(f"--config {path}: {exc}") from None
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -135,7 +184,12 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _snr_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise DomainError(
+            f"--snr-db {snr_db!r} is too large: the linear SNR overflows"
+        ) from None
 
 
 def _cmd_rates(args: argparse.Namespace) -> int:

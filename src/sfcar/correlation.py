@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from sfcar.errors import DomainError
 from sfcar.special import bessel_k1, complete_elliptic_k
 
-_SERIES_CUTOFF = 1e-4  # below this, rho(zeta) = zeta to O(zeta^3)
+# Below this, rho = zeta + 5 zeta^3 and zeta = rho - 5 rho^3 are exact to
+# the next terms, 44 zeta^5 and 31 rho^5: under 5e-15 relative.
+_SERIES_CUTOFF = 1e-4
+# Below this, (2/pi) K(4 zeta) - 1 ~ 4 zeta^2 is summed from its power
+# series (at most 15 terms); above it, subtracting 1 from the closed form
+# loses up to 2e-14 relative.
+_CNORM_SERIES_CUTOFF = 1.0 / 16.0
 _NEGATIVE_CLAMP = -1e-13
 
 
@@ -37,8 +43,8 @@ class PhysicalEnvironment:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha!r}")
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and > 0, got {self.alpha!r}")
 
 
 def edge_correlation(env: PhysicalEnvironment, spacing: float) -> float:
@@ -47,9 +53,14 @@ def edge_correlation(env: PhysicalEnvironment, spacing: float) -> float:
     Strictly decreasing in spacing; tends to 1 as d -> 0 and to 0 as
     d -> infinity.  Clamped into [0, 1] against floating-point overshoot.
     """
-    if spacing <= 0.0:
-        raise DomainError(f"spacing must be > 0, got {spacing!r}")
+    if not 0.0 < spacing < math.inf:
+        raise DomainError(f"spacing must be finite and > 0, got {spacing!r}")
     x = env.alpha * spacing
+    if not 0.0 < x < math.inf:
+        raise DomainError(
+            f"alpha * spacing is out of range: alpha={env.alpha!r} * "
+            f"spacing={spacing!r} = {x!r}"
+        )
     rho = x * bessel_k1(x)
     if rho > 1.0:
         rho = 1.0
@@ -62,8 +73,10 @@ def rho_of_zeta(zeta: float) -> float:
     """Edge correlation of an SFCAR field with edge dependence factor zeta.
 
     Endpoints are exact by continuous extension: rho(0) = 0 and
-    rho(1/4) = 1.  For zeta below 1e-4 the series value zeta is returned;
-    the closed form is a 0/0-adjacent ratio there and loses precision.
+    rho(1/4) = 1.  For zeta below 1e-4 the series zeta + 5 zeta^3 is
+    returned; above, the numerator (2/pi) K(4 zeta) - 1 is summed from
+    its power series up to zeta = 1/16, where the closed form would
+    cancel.
     """
     if not 0.0 <= zeta <= 0.25:
         raise DomainError(f"zeta must lie in [0, 1/4], got {zeta!r}")
@@ -72,9 +85,23 @@ def rho_of_zeta(zeta: float) -> float:
     if zeta == 0.25:
         return 1.0
     if zeta < _SERIES_CUTOFF:
-        return zeta
-    c = (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)
-    return (c - 1.0) / (4.0 * zeta * c)
+        return zeta + 5.0 * zeta**3
+    cm1 = _cnorm_minus_one(zeta)
+    return cm1 / (4.0 * zeta * (1.0 + cm1))
+
+
+def _cnorm_minus_one(zeta: float) -> float:
+    # (2/pi) K(4 zeta) - 1 = sum_{m>=1} ((2m-1)!! / (2m)!!)^2 (4 zeta)^(2m)
+    if zeta >= _CNORM_SERIES_CUTOFF:
+        return (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta) - 1.0
+    k2 = 16.0 * zeta * zeta
+    term = total = 0.25 * k2
+    j = 1
+    while term > 1e-17 * total:
+        term *= ((2 * j + 1) / (2 * j + 2)) ** 2 * k2
+        total += term
+        j += 1
+    return total
 
 
 def zeta_of_rho(rho: float) -> float:
@@ -93,7 +120,7 @@ def zeta_of_rho(rho: float) -> float:
     if rho == 1.0:
         return 0.25
     if rho < _SERIES_CUTOFF:
-        return rho  # exact inverse of the series branch
+        return rho - 5.0 * rho**3
     lo, hi = 0.0, 0.25
     for _ in range(80):
         mid = 0.5 * (lo + hi)

@@ -21,8 +21,9 @@ import numpy as np
 
 from sfcar import kernels
 from sfcar.errors import DomainError
-from sfcar.rates import InfoRates
-from sfcar.special import complete_elliptic_k
+from sfcar.rates import InfoRates, _check_zeta_snr, _spectral_norm
+# Not called here; sfcarbench/spans.py wraps this module attribute by name.
+from sfcar.special import complete_elliptic_k  # noqa: F401
 
 _DENSE_N_MAX = 12
 
@@ -45,14 +46,18 @@ def torus_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
     grid; noise variance is fixed at 1 inside the oracle and snr scales
     the signal spectrum directly.
     """
-    _check(zeta, snr)
+    _check_zeta_snr(zeta, snr)
+    if zeta == 0.25:
+        raise DomainError("torus rates are undefined at zeta = 1/4")
     if snr == 0.0:
         return InfoRates(0.0, 0.0)
     n = spec.n_per_axis
     omega = 2.0 * math.pi * np.arange(n) / n
     cos_omega = np.cos(omega)
     w = np.full(n, 1.0 / n)
-    kli, mi = kernels.rate_sums(cos_omega, w, cos_omega, w, zeta, snr, _norm(zeta))
+    kli, mi = kernels.rate_sums(
+        cos_omega, w, cos_omega, w, zeta, snr, _spectral_norm(zeta)
+    )
     return InfoRates(max(kli, 0.0), max(mi, 0.0))
 
 
@@ -64,7 +69,9 @@ def dense_gaussian_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
     + log det(Sigma_X+I)] and per-node MI = (1/2N^2) log det(Sigma_X+I),
     via a Cholesky factorization.  Restricted to N <= 12.
     """
-    _check(zeta, snr)
+    _check_zeta_snr(zeta, snr)
+    if zeta == 0.25:
+        raise DomainError("dense torus rates are undefined at zeta = 1/4")
     n = spec.n_per_axis
     if n > _DENSE_N_MAX:
         raise DomainError(f"dense route limited to N <= {_DENSE_N_MAX}, got {n}")
@@ -72,7 +79,7 @@ def dense_gaussian_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
         return InfoRates(0.0, 0.0)
     omega = 2.0 * math.pi * np.arange(n) / n
     denom = 1.0 - 2.0 * zeta * (np.cos(omega)[:, None] + np.cos(omega)[None, :])
-    eigs = snr / (_norm(zeta) * denom)
+    eigs = snr / (_spectral_norm(zeta) * denom)
     gen = np.real(np.fft.ifft2(eigs))  # circulant generator r[di, dj]
     idx = np.arange(n)
     diff = (idx[:, None] - idx[None, :]) % n
@@ -86,14 +93,3 @@ def dense_gaussian_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
     kli = 0.5 * (trace_inv - nn + logdet) / nn
     mi = 0.5 * logdet / nn
     return InfoRates(max(kli, 0.0), mi)
-
-
-def _check(zeta: float, snr: float) -> None:
-    if not 0.0 <= zeta < 0.25:
-        raise DomainError(f"zeta must lie in [0, 1/4), got {zeta!r}")
-    if not snr >= 0.0:
-        raise DomainError(f"snr must be >= 0, got {snr!r}")
-
-
-def _norm(zeta: float) -> float:
-    return (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)

@@ -15,12 +15,30 @@ separating the SNR and correlation dependencies.  Rates are in nats per
 node.  At zeta = 1/4 both rates are defined to be 0 (the limiting value
 as correlation becomes perfect); at SNR = 0 they are exactly 0.
 
-Quadrature: tensor-product Gauss-Legendre over [0, pi]^2 (even symmetry,
-result x4) on dyadically graded panels concentrated toward the origin,
-where the integrand peaks as zeta -> 1/4.  The grading automatically
-deepens until the innermost panel resolves the spectral peak width
-sqrt((1 - 4 zeta)/zeta), and whole-grid refinement halves every panel
-until two successive levels agree to the target tolerance.
+The inner w2 integral has closed forms (Gradshteyn & Ryzhik 2.553,
+4.224): int_0^pi log(A - B cos w) dw = pi log((A + r)/2) and
+int_0^pi dw / (A - B cos w) = pi / r with r = sqrt(A^2 - B^2).  With
+c = (2/pi) K(4 zeta), A0 = c (1 - 2 zeta cos w), A1 = A0 + SNR and
+B = 2 c zeta this leaves one dimension,
+
+    mi  = (1/2pi) int_0^pi log1p(x) dw
+    kli = (1/2pi) int_0^pi [ log1p(x) - SNR/r1 ] dw,
+
+where 1 + x = (A1 + r1)/(A0 + r0).  The factors are formed free of
+cancellation: with h = 4 zeta sin^2(w/2) and delta = 1 - 4 zeta,
+A0 -+ B = c (delta + h) and c (1 + h), so r0 = c sqrt((delta+h)(1+h))
+stays accurate as zeta -> 1/4, and x = (SNR/u)(1 + (A0+A1)/(r0+r1))
+with u = A0 + r0.  The KL bracket is O(SNR^2) at low SNR; where x <= 0.1
+it is summed as the two cancellation-free terms
+x - SNR/r1 = SNR^2 ((A0+A1)(1 + A1/(r0+r1)) + r0) / (u r1 (r0+r1)) and
+log1p(x) - x.
+
+Quadrature: Gauss-Legendre over w in [0, pi] on dyadically graded panels
+concentrated toward the origin, where the integrand peaks as
+zeta -> 1/4.  The grading automatically deepens until the innermost
+panel resolves the spectral peak width sqrt((1 - 4 zeta)/zeta), and
+whole-grid refinement halves every panel until two successive levels
+agree to the target tolerance.
 """
 
 import math
@@ -29,7 +47,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from sfcar import kernels
 from sfcar.errors import DomainError, QuadratureError
 from sfcar.special import complete_elliptic_k
 
@@ -39,10 +56,13 @@ _MAX_GRADING_DEPTH = 64
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss-Legendre panel scheme for the rate integrals.
+    """Gauss-Legendre panel scheme for the one-dimensional rate integrals.
 
-    panels_per_axis is the base dyadic panel count on [0, pi]; the
-    grading deepens beyond it automatically near zeta = 1/4.
+    panels_per_axis is the base dyadic panel count on the w interval
+    [0, pi]; the grading deepens beyond it automatically near zeta = 1/4.
+    points_per_panel is the Gauss-Legendre order on each panel, and
+    target_tol the relative change between two successive refinement
+    levels at which both rates are accepted.
     """
 
     panels_per_axis: int = 8
@@ -98,11 +118,11 @@ def info_rates(zeta: float, snr: float, config: QuadratureConfig | None = None) 
     prev = None
     for _ in range(_MAX_REFINEMENTS + 1):
         nodes, weights = _panel_rule(tuple(edges), config.points_per_panel)
-        cos_nodes = np.cos(nodes)
-        raw_kli, raw_mi = kernels.rate_sums(
-            cos_nodes, weights, cos_nodes, weights, zeta, snr, cnorm
+        kli_terms, mi_terms = _rate_integrands(nodes, zeta, snr, cnorm)
+        cur = (
+            float(weights @ kli_terms) / (2.0 * math.pi),
+            float(weights @ mi_terms) / (2.0 * math.pi),
         )
-        cur = (raw_kli / math.pi**2, raw_mi / math.pi**2)
         if prev is not None and _converged(cur, prev, config.target_tol):
             return InfoRates(max(cur[0], 0.0), max(cur[1], 0.0))
         prev = cur
@@ -126,13 +146,55 @@ def mi_rate(zeta: float, snr: float, config: QuadratureConfig | None = None) -> 
 def _check_zeta_snr(zeta: float, snr: float) -> None:
     if not 0.0 <= zeta <= 0.25:
         raise DomainError(f"zeta must lie in [0, 1/4], got {zeta!r}")
-    if not snr >= 0.0:
-        raise DomainError(f"snr must be >= 0, got {snr!r}")
+    if not 0.0 <= snr < math.inf:
+        raise DomainError(f"snr must be finite and >= 0, got {snr!r}")
 
 
 def _spectral_norm(zeta: float) -> float:
     # (2/pi) K(4 zeta); equals 1 at zeta = 0.
     return (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)
+
+
+def _rate_integrands(omega: np.ndarray, zeta: float, snr: float, cnorm: float):
+    """KL and MI integrands of the one-dimensional form at the nodes omega.
+
+    The square roots are taken factor by factor so that no product
+    overflows for any finite snr.
+    """
+    h = 4.0 * zeta * np.sin(0.5 * omega) ** 2
+    lo = cnorm * ((1.0 - 4.0 * zeta) + h)  # A0 - B
+    hi = cnorm * (1.0 + h)  # A0 + B
+    a0 = cnorm * (1.0 - 2.0 * zeta * np.cos(omega))
+    a1 = a0 + snr
+    r0 = np.sqrt(lo) * np.sqrt(hi)
+    r1 = np.sqrt(lo + snr) * np.sqrt(hi + snr)
+    u = a0 + r0
+    rsum = r0 + r1
+    x = (snr / u) * (1.0 + (a0 + a1) / rsum)
+    mi = np.log1p(x)
+    kli = mi - snr / r1
+    small = x <= 0.1
+    if small.any():
+        a0, a1, r0, r1, u, rsum, xs = (
+            v[small] for v in (a0, a1, r0, r1, u, rsum, x)
+        )
+        head = (snr * snr) * ((a0 + a1) * (1.0 + a1 / rsum) + r0) / (u * r1 * rsum)
+        kli[small] = head + _log1p_minus_x(xs)
+    return kli, mi
+
+
+# 2 / (2k + 3) for k = 6..0, highest power first: the atanh series in
+# _log1p_minus_x, truncated where the next term is below 1e-19 of the sum
+# (y^2 <= 0.0023 for x <= 0.1).
+_ATANH_COEFFS = 2.0 / np.arange(15.0, 2.0, -2.0)
+
+
+def _log1p_minus_x(x: np.ndarray) -> np.ndarray:
+    # log(1 + x) - x for 0 <= x <= 0.1 without cancellation:
+    # log(1 + x) = 2 atanh(y) with y = x / (2 + x), and x - 2y = x^2 / (2 + x).
+    y = x / (2.0 + x)
+    y2 = y * y
+    return y * y2 * np.polyval(_ATANH_COEFFS, y2) - x * x / (2.0 + x)
 
 
 def _graded_edges(zeta: float, base_panels: int) -> list[float]:

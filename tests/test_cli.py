@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -256,3 +257,50 @@ class TestConfigFile:
         assert float(row["kli_rate"]) == rates.kli
         assert float(row["mi_rate"]) == rates.mi
         assert float(row["snr_linear"]) == 10 ** 0.75
+
+
+class TestRejectedInput:
+    """Bad input ends in exit 2 with one message naming it: no traceback,
+    no warning."""
+
+    def rejected(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert caught == []
+        return captured.err
+
+    def test_infinite_snr(self, capsys):
+        err = self.rejected(capsys, ["rates", "--zeta", "0.1", "--snr-db", "inf"])
+        assert "--snr-db" in err
+
+    def test_overflowing_snr(self, capsys):
+        err = self.rejected(capsys, ["rates", "--zeta", "0.1", "--snr-db", "4000"])
+        assert "--snr-db" in err
+
+    def test_overflowing_map_product(self, capsys):
+        err = self.rejected(capsys, ["map", "--alpha", "1e308", "--spacing", "1e10"])
+        assert "alpha" in err and "spacing" in err
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        path = str(tmp_path / "absent.json")
+        err = self.rejected(capsys, ["rates", "--config", path])
+        assert "--config" in err and path in err
+
+    def test_config_string_for_number(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"zeta": "abc", "snr_db": 0}))
+        err = self.rejected(capsys, ["rates", "--config", str(cfg)])
+        assert "--zeta" in err and "abc" in err
+
+    def test_unknown_config_key(self, capsys, tmp_path):
+        # "snr" is no option, though the parser would take it for an
+        # abbreviation of --snr-db on the command line
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"zeta": 0.1, "snr": 3}))
+        err = self.rejected(capsys, ["rates", "--config", str(cfg)])
+        assert "'snr'" in err

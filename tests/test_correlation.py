@@ -10,7 +10,7 @@ from sfcar.correlation import (
 )
 from sfcar.errors import DomainError
 
-from oracles import bessel_k1_integral
+from oracles import bessel_k1_integral, rho_of_zeta_elliptic, zeta_of_rho_brent
 
 ENV = PhysicalEnvironment(alpha=100.0)
 
@@ -39,14 +39,24 @@ class TestEdgeCorrelation:
         for d in np.logspace(-9, 1, 80):
             assert 0.0 <= edge_correlation(ENV, float(d)) <= 1.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_domain_error(self, bad):
         with pytest.raises(DomainError):
             edge_correlation(ENV, bad)
 
+    @pytest.mark.parametrize("alpha,spacing", [(1e308, 1e10), (1e-300, 1e-300)])
+    def test_out_of_range_product(self, alpha, spacing):
+        with pytest.raises(DomainError, match="alpha"):
+            edge_correlation(PhysicalEnvironment(alpha), spacing)
+
     def test_alpha_validated(self):
         with pytest.raises(DomainError):
             PhysicalEnvironment(alpha=0.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_alpha(self, bad):
+        with pytest.raises(DomainError):
+            PhysicalEnvironment(alpha=bad)
 
 
 class TestRhoOfZeta:
@@ -110,6 +120,22 @@ class TestZetaOfRho:
         for z in np.linspace(0.0, 0.25, 1000):
             back = zeta_of_rho(rho_of_zeta(float(z)))
             assert back == pytest.approx(float(z), abs=1e-10)
+
+
+# Around the series cutoff (1e-4) and where the closed form would cancel.
+SMALL_ARGUMENTS = [1e-6, 9.9e-5, 1.0001e-4, 3e-4, 1e-3, 1e-2]
+
+
+class TestSmallArguments:
+    @pytest.mark.parametrize("zeta", SMALL_ARGUMENTS)
+    def test_rho_of_zeta(self, zeta):
+        expected = rho_of_zeta_elliptic(zeta)
+        assert rho_of_zeta(zeta) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("rho", SMALL_ARGUMENTS)
+    def test_zeta_of_rho(self, rho):
+        expected = zeta_of_rho_brent(rho)
+        assert zeta_of_rho(rho) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestZetaOfSpacing:

@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sfcar import _specsum_py, kernels
-
-try:
-    from sfcar import _specsum
-except ImportError:
-    _specsum = None
+import sfcar
+from sfcar import kernels
 
 
 def random_grid(rng, n):
@@ -17,34 +13,43 @@ def random_grid(rng, n):
     return np.cos(nodes), weights
 
 
-@pytest.mark.skipif(_specsum is None, reason="compiled kernel not built")
-class TestBackendAgreement:
+def single_block_sums(cos1, w1, cos2, w2, zeta, snr, cnorm):
+    # the whole grid in one temporary, summed in a different order
+    s = snr / (cnorm * (1.0 - 2.0 * zeta * (cos1[:, None] + cos2[None, :])))
+    m = 0.5 * np.log1p(s)
+    k = m - 0.5 * s / (1.0 + s)
+    return float(w1 @ k @ w2), float(w1 @ m @ w2)
+
+
+class TestBlockedSum:
     @pytest.mark.parametrize("zeta,snr", [(0.0, 1.0), (0.2, 10.0), (0.2499, 1e-4)])
-    def test_backends_match(self, zeta, snr):
+    def test_many_blocks_match_single_block(self, zeta, snr, monkeypatch):
         rng = np.random.default_rng(42)
         cos1, w1 = random_grid(rng, 257)
         cos2, w2 = random_grid(rng, 129)
         cnorm = 1.0 if zeta == 0.0 else 1.3
-        compiled = _specsum.rate_sums(cos1, w1, cos2, w2, zeta, snr, cnorm)
-        fallback = _specsum_py.rate_sums(cos1, w1, cos2, w2, zeta, snr, cnorm)
-        for a, b in zip(compiled, fallback):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1000)  # 7 rows a block
+        blocked = kernels.rate_sums(cos1, w1, cos2, w2, zeta, snr, cnorm)
+        single = single_block_sums(cos1, w1, cos2, w2, zeta, snr, cnorm)
+        for a, b in zip(blocked, single):
             assert a == pytest.approx(b, rel=5e-13)
 
-    def test_blocked_fallback_matches_on_large_grid(self):
-        # exceeds the fallback's block size, exercising the chunked path
-        n = 3000
+    def test_default_blocks_match_on_large_grid(self):
+        # 2100^2 points exceed one default block
+        n = 2100
+        assert n * n > kernels._BLOCK_ELEMENTS
         omega = 2.0 * np.pi * np.arange(n) / n
         w = np.full(n, 1.0 / n)
         c = np.cos(omega)
-        compiled = _specsum.rate_sums(c, w, c, w, 0.15, 2.0, 1.1)
-        fallback = _specsum_py.rate_sums(c, w, c, w, 0.15, 2.0, 1.1)
-        for a, b in zip(compiled, fallback):
+        blocked = kernels.rate_sums(c, w, c, w, 0.15, 2.0, 1.1)
+        single = single_block_sums(c, w, c, w, 0.15, 2.0, 1.1)
+        for a, b in zip(blocked, single):
             assert a == pytest.approx(b, rel=5e-13)
 
 
 class TestDispatch:
     def test_backend_reported(self):
-        assert kernels.backend_name() in ("compiled", "python")
+        assert sfcar.backend_name() == "numpy"
 
     def test_dispatch_callable(self):
         c = np.cos(np.linspace(0.1, 3.0, 16))

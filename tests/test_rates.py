@@ -15,6 +15,8 @@ from sfcar.rates import (
 )
 from sfcar.special import complete_elliptic_k
 
+from oracles import _log1p_minus_x, kli_rate_1d
+
 
 def closed_form_kli(snr: float) -> float:
     return 0.5 * (math.log1p(snr) + 1.0 / (1.0 + snr) - 1.0)
@@ -70,6 +72,19 @@ class TestClosedForms:
         assert info_rates(0.25, 10.0) == InfoRates(0.0, 0.0)
 
 
+class TestLowSnrAccuracy:
+    # The KL integrand is O(snr^2) made of O(snr) parts; the references
+    # below are summed free of that cancellation.
+    @pytest.mark.parametrize("snr", [1e-4, 1e-6, 2e-7])
+    @pytest.mark.parametrize("zeta", [0.0, 1e-3, 0.2])
+    def test_kli_matches_cancellation_free_reference(self, zeta, snr):
+        if zeta == 0.0:
+            expected = 0.5 * (snr * snr / (1.0 + snr) + _log1p_minus_x(snr))
+        else:
+            expected = kli_rate_1d(zeta, snr)
+        assert kli_rate(zeta, snr) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+
 class TestAgainstTorus:
     def test_moderate_zeta(self):
         quad = info_rates(0.2, 10.0)
@@ -105,27 +120,23 @@ class TestProperties:
                 r = info_rates(zeta, snr)
                 assert 0.0 < r.kli < r.mi
 
-    def test_quarter_square_symmetry(self):
-        # the library integrates [0, pi]^2 x 4; a full-square rule on the
-        # mirrored panels must agree to near machine precision
+    def test_agrees_with_tensor_sum(self):
+        # the 2-D tensor Gauss-Legendre sum of the defining integrands on
+        # the same graded panels, with no closed-form inner integral
         from sfcar import kernels
         from sfcar.rates import _graded_edges, _panel_rule
 
-        zeta, snr = 0.18, 3.0
-        cnorm = (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)
-        edges = _graded_edges(zeta, 8)
-        nodes, weights = _panel_rule(tuple(edges), 16)
-        quarter = kernels.rate_sums(
-            np.cos(nodes), weights, np.cos(nodes), weights, zeta, snr, cnorm
-        )
-        full_nodes = np.concatenate([-nodes[::-1], nodes])
-        full_weights = np.concatenate([weights[::-1], weights])
-        full = kernels.rate_sums(
-            np.cos(full_nodes), full_weights, np.cos(full_nodes), full_weights,
-            zeta, snr, cnorm,
-        )
-        assert 4.0 * quarter[0] == pytest.approx(full[0], rel=1e-12)
-        assert 4.0 * quarter[1] == pytest.approx(full[1], rel=1e-12)
+        snr = 3.0
+        for zeta in (0.0, 0.18, 0.25 - 1e-12):
+            cnorm = (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)
+            nodes, weights = _panel_rule(tuple(_graded_edges(zeta, 8)), 16)
+            cos_nodes = np.cos(nodes)
+            kli, mi = kernels.rate_sums(
+                cos_nodes, weights, cos_nodes, weights, zeta, snr, cnorm
+            )
+            rates = info_rates(zeta, snr)
+            assert rates.kli == pytest.approx(kli / math.pi**2, rel=1e-12, abs=0.0)
+            assert rates.mi == pytest.approx(mi / math.pi**2, rel=1e-12, abs=0.0)
 
     def test_deterministic(self):
         a = info_rates(0.21, 7.3)
@@ -134,7 +145,11 @@ class TestProperties:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("zeta,snr", [(-0.01, 1.0), (0.26, 1.0), (0.1, -1.0)])
+    @pytest.mark.parametrize(
+        "zeta,snr",
+        [(-0.01, 1.0), (0.26, 1.0), (0.1, -1.0), (0.1, math.inf), (0.1, math.nan),
+         (math.nan, 1.0)],
+    )
     def test_domain_errors(self, zeta, snr):
         with pytest.raises(DomainError):
             info_rates(zeta, snr)
