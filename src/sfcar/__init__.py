@@ -45,7 +45,6 @@ from sfcar.network import (
 )
 from sfcar.rates import (
     InfoRates,
-    QuadratureConfig,
     info_rates,
     kli_rate,
     mi_rate,
@@ -87,7 +86,6 @@ __all__ = [
     "Objective",
     "optimize",
     "PhysicalEnvironment",
-    "QuadratureConfig",
     "QuadratureError",
     "rho_of_zeta",
     "ScenarioConfig",

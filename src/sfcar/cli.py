@@ -20,6 +20,7 @@ import sys
 
 from sfcar.correlation import PhysicalEnvironment, edge_correlation, zeta_of_rho
 from sfcar.density import (
+    N_MAX_CAP,
     Objective,
     ScenarioConfig,
     SweepRow,
@@ -223,12 +224,27 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     _require(args, "L", "E", "alpha", "beta", "E0", "nu")
+    area = (2.0 * args.L) * (2.0 * args.L)
+    if not (0.0 < area < math.inf and (2 * N_MAX_CAP + 1) ** 2 / area < math.inf):
+        raise DomainError(
+            f"--L {args.L!r} is out of range: the density (2n+1)^2 / (2L)^2 "
+            f"must be a positive finite double for every n <= {N_MAX_CAP}"
+        )
+    # E_s = (E - communication energy) / (2n+1)^2 never exceeds E / 9
+    if not args.beta * (args.E / 9.0) < math.inf:
+        raise DomainError(
+            f"--E {args.E!r} and --beta {args.beta!r} are too large: the "
+            "SNR beta * E_s overflows"
+        )
+    for flag, n in (("--n-min", args.n_min), ("--n-max", args.n_max)):
+        if n is not None and n > N_MAX_CAP:
+            raise DomainError(f"{flag} {n} is above the largest lattice index, {N_MAX_CAP}")
     n_min = args.n_min
     n_max = args.n_max
     if args.mu_min is not None and n_min is None:
-        n_min = max(1, math.ceil((2.0 * args.L * math.sqrt(args.mu_min) - 1.0) / 2.0))
+        n_min = max(1, math.ceil(_lattice_index(args.L, args.mu_min, "--mu-min")))
     if args.mu_max is not None and n_max is None:
-        n_max = math.floor((2.0 * args.L * math.sqrt(args.mu_max) - 1.0) / 2.0)
+        n_max = math.floor(_lattice_index(args.L, args.mu_max, "--mu-max"))
     return ScenarioConfig(
         half_width=args.L,
         energy=EnergyModel(
@@ -239,6 +255,17 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         n_max=n_max,
         objective=Objective(args.objective or "kli"),
     )
+
+
+def _lattice_index(half_width: float, mu: float, flag: str) -> float:
+    # n at which the density (2n+1)^2 / (2L)^2 equals mu; checked against
+    # the cap while a float, since an infinite one has no integer
+    n = (2.0 * half_width * math.sqrt(mu) - 1.0) / 2.0
+    if not n <= N_MAX_CAP:
+        raise DomainError(
+            f"{flag} {mu!r} maps to lattice index {n!r}, above the largest, {N_MAX_CAP}"
+        )
+    return n
 
 
 def _row_record(row: SweepRow) -> dict:

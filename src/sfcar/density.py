@@ -31,9 +31,10 @@ from sfcar.network import (
     EnergyModel,
     node_snr,
     sensing_energy_per_node,
+    total_comm_energy,
     total_information,
 )
-from sfcar.rates import DEFAULT_QUADRATURE, QuadratureConfig, info_rates
+from sfcar.rates import info_rates
 
 N_MAX_CAP = 500
 
@@ -49,8 +50,9 @@ class Objective(str, Enum):
 class ScenarioConfig:
     """Everything a sweep needs.
 
-    n_max = None means "up to the feasibility boundary", i.e. the first
-    infeasible lattice size, capped at N_MAX_CAP.
+    n_max = None means "up to the feasibility boundary" (see
+    feasibility_boundary).  No lattice index in the range may exceed
+    N_MAX_CAP.
     """
 
     half_width: float
@@ -59,7 +61,6 @@ class ScenarioConfig:
     n_min: int = 1
     n_max: int | None = None
     objective: Objective = Objective.KLI
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE
 
     def __post_init__(self) -> None:
         if self.n_min < 1:
@@ -67,6 +68,11 @@ class ScenarioConfig:
         if self.n_max is not None and self.n_max < self.n_min:
             raise DomainError(
                 f"need n_min <= n_max, got {self.n_min!r} > {self.n_max!r}"
+            )
+        largest = self.n_min if self.n_max is None else self.n_max
+        if largest > N_MAX_CAP:
+            raise DomainError(
+                f"lattice index must be <= N_MAX_CAP = {N_MAX_CAP}, got {largest!r}"
             )
 
 
@@ -120,7 +126,7 @@ def evaluate_density(config: ScenarioConfig, n: int) -> SweepRow:
             feasible=False,
         )
     snr = node_snr(config.energy, e_s)
-    rates = info_rates(zeta, snr, config.quadrature)
+    rates = info_rates(zeta, snr)
     total_kli, total_mi = total_information(deployment, rates)
     return SweepRow(
         n=n,
@@ -139,14 +145,28 @@ def evaluate_density(config: ScenarioConfig, n: int) -> SweepRow:
 
 
 def feasibility_boundary(config: ScenarioConfig) -> int:
-    """Smallest n >= n_min whose communication energy exhausts the budget,
-    capped at N_MAX_CAP.  For nu >= 2 total communication energy is
-    increasing in n, so everything beyond the boundary is infeasible too."""
+    """Smallest n >= n_min past which every lattice size is infeasible,
+    capped at N_MAX_CAP.
+
+    Total communication energy f(n) = 2n(n+1)(2n+1) E0 (L/n)^nu is, as a
+    function of log n, a sum of exponentials with positive coefficients,
+    hence convex: it falls and then rises, and the feasible n form one
+    interval.  For nu above 1 + log2(2.5) ~ 2.32 it falls from n = 1 to 2,
+    so small n can be infeasible below that interval.  The boundary is the
+    first infeasible n with f(n) < f(n + 1): f rises from there on.  The
+    comparison is strict so that two energies that both overflow to inf
+    do not end the scan.
+    """
     for n in range(config.n_min, N_MAX_CAP + 1):
+        deployment = Deployment(config.half_width, n)
         try:
-            sensing_energy_per_node(config.energy, Deployment(config.half_width, n))
+            sensing_energy_per_node(config.energy, deployment)
         except InfeasibleDensityError:
-            return n
+            following = Deployment(config.half_width, n + 1)
+            if total_comm_energy(config.energy, deployment) < total_comm_energy(
+                config.energy, following
+            ):
+                return n
     return N_MAX_CAP
 
 

@@ -8,6 +8,7 @@ remaining budget is split uniformly into per-node sensing energy E_s,
 and measurement SNR grows linearly with it: SNR = beta * E_s.
 """
 
+import math
 from dataclasses import dataclass
 
 from sfcar.errors import DomainError, InfeasibleDensityError
@@ -26,6 +27,12 @@ class Deployment:
             raise DomainError(f"half_width must be > 0, got {self.half_width!r}")
         if self.n < 1:
             raise DomainError(f"lattice index must be >= 1, got {self.n!r}")
+        side = 2.0 * self.half_width
+        if not (0.0 < side * side < math.inf and self.density < math.inf):
+            raise DomainError(
+                f"half_width {self.half_width!r} is out of range at n={self.n}: "
+                "the density (2n+1)^2 / (2L)^2 must be a positive finite double"
+            )
 
     @property
     def spacing(self) -> float:
@@ -64,10 +71,17 @@ class EnergyModel:
 
 
 def comm_energy_per_edge(energy: EnergyModel, spacing: float) -> float:
-    """Energy of one hop across one lattice edge: E0 * d^nu."""
-    if spacing <= 0.0:
-        raise DomainError(f"spacing must be > 0, got {spacing!r}")
-    return energy.e0 * spacing**energy.nu
+    """Energy of one hop across one lattice edge: E0 * d^nu.
+
+    A d^nu beyond the double range costs more than any budget: the hop
+    energy is then inf, or 0 when E0 = 0.
+    """
+    if not 0.0 < spacing < math.inf:
+        raise DomainError(f"spacing must be finite and > 0, got {spacing!r}")
+    try:
+        return energy.e0 * spacing**energy.nu
+    except OverflowError:
+        return math.inf if energy.e0 > 0.0 else 0.0
 
 
 def hop_count_sum(n: int) -> int:

@@ -33,12 +33,17 @@ it is summed as the two cancellation-free terms
 x - SNR/r1 = SNR^2 ((A0+A1)(1 + A1/(r0+r1)) + r0) / (u r1 (r0+r1)) and
 log1p(x) - x.
 
-Quadrature: Gauss-Legendre over w in [0, pi] on dyadically graded panels
+Quadrature: 16-point Gauss-Legendre over w in [0, pi] on the dyadic
+panels [0, pi 2^-depth], [pi 2^-depth, pi 2^(1-depth)], ..., [pi/2, pi],
 concentrated toward the origin, where the integrand peaks as
-zeta -> 1/4.  The grading automatically deepens until the innermost
-panel resolves the spectral peak width sqrt((1 - 4 zeta)/zeta), and
-whole-grid refinement halves every panel until two successive levels
-agree to the target tolerance.
+zeta -> 1/4.  The grading depth is at least 7 (8 base panels) and
+deepens until the innermost panel is no wider than half the spectral
+peak width sqrt((1 - 4 zeta)/zeta); it never exceeds 29, since
+1 - 4 zeta >= 2^-53 for every double zeta < 1/4.  Refinement level l
+halves every panel l times, and the levels run 0, 1, ... until two
+successive ones agree to 1e-9 relative in both rates, at most 5
+refinements.  The scheme is fixed: the rule depends on the two
+integers (depth, level) alone.
 """
 
 import math
@@ -50,35 +55,10 @@ import numpy as np
 from sfcar.errors import DomainError, QuadratureError
 from sfcar.special import complete_elliptic_k
 
+_POINTS_PER_PANEL = 16
+_BASE_PANELS = 8
+_TARGET_TOL = 1e-9
 _MAX_REFINEMENTS = 5
-_MAX_GRADING_DEPTH = 64
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Gauss-Legendre panel scheme for the one-dimensional rate integrals.
-
-    panels_per_axis is the base dyadic panel count on the w interval
-    [0, pi]; the grading deepens beyond it automatically near zeta = 1/4.
-    points_per_panel is the Gauss-Legendre order on each panel, and
-    target_tol the relative change between two successive refinement
-    levels at which both rates are accepted.
-    """
-
-    panels_per_axis: int = 8
-    points_per_panel: int = 16
-    target_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.panels_per_axis < 1:
-            raise DomainError("panels_per_axis must be >= 1")
-        if self.points_per_panel < 2:
-            raise DomainError("points_per_panel must be >= 2")
-        if not self.target_tol > 0.0:
-            raise DomainError("target_tol must be > 0")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -107,40 +87,38 @@ def snr_spectral_ratio(zeta: float, snr: float, omega1, omega2):
     return snr / denom
 
 
-def info_rates(zeta: float, snr: float, config: QuadratureConfig | None = None) -> InfoRates:
+def info_rates(zeta: float, snr: float) -> InfoRates:
     """Both per-node rates in one quadrature pass."""
     _check_zeta_snr(zeta, snr)
     if snr == 0.0 or zeta == 0.25:
         return InfoRates(0.0, 0.0)
-    config = config or DEFAULT_QUADRATURE
     cnorm = _spectral_norm(zeta)
-    edges = _graded_edges(zeta, config.panels_per_axis)
+    depth = _grading_depth(zeta)
     prev = None
-    for _ in range(_MAX_REFINEMENTS + 1):
-        nodes, weights = _panel_rule(tuple(edges), config.points_per_panel)
+    for level in range(_MAX_REFINEMENTS + 1):
+        nodes, weights = _panel_rule(depth, level)
         kli_terms, mi_terms = _rate_integrands(nodes, zeta, snr, cnorm)
         cur = (
             float(weights @ kli_terms) / (2.0 * math.pi),
             float(weights @ mi_terms) / (2.0 * math.pi),
         )
-        if prev is not None and _converged(cur, prev, config.target_tol):
+        if prev is not None and _converged(cur, prev):
             return InfoRates(max(cur[0], 0.0), max(cur[1], 0.0))
         prev = cur
-        edges = _split_edges(edges)
     raise QuadratureError(
-        f"rate quadrature did not reach tol={config.target_tol} "
+        f"rate quadrature did not reach tol={_TARGET_TOL} "
         f"after {_MAX_REFINEMENTS} refinements (zeta={zeta}, snr={snr})"
     )
 
 
-def kli_rate(zeta: float, snr: float, config: QuadratureConfig | None = None) -> float:
+def kli_rate(zeta: float, snr: float) -> float:
     """Per-node Kullback-Leibler rate in nats."""
-    return info_rates(zeta, snr, config).kli
+    return info_rates(zeta, snr).kli
 
 
-def mi_rate(zeta: float, snr: float, config: QuadratureConfig | None = None) -> float:
+def mi_rate(zeta: float, snr: float) -> float:
     """Per-node mutual-information rate in nats."""
-    return info_rates(zeta, snr, config).mi
+    return info_rates(zeta, snr).mi
 
 
 def _check_zeta_snr(zeta: float, snr: float) -> None:
@@ -197,48 +175,40 @@ def _log1p_minus_x(x: np.ndarray) -> np.ndarray:
     return y * y2 * np.polyval(_ATANH_COEFFS, y2) - x * x / (2.0 + x)
 
 
-def _graded_edges(zeta: float, base_panels: int) -> list[float]:
-    # Dyadic edges pi * 2^-j on [0, pi].  Depth covers at least the base
-    # panel count and deepens so the innermost panel is narrower than half
-    # the spectral peak width at the origin.
-    if zeta > 0.0:
-        delta = max(1.0 - 4.0 * zeta, 1e-18)
-        peak_width = math.sqrt(delta / zeta)
-    else:
-        peak_width = math.pi
-    depth = base_panels - 1
-    while math.pi * 2.0 ** (-depth) > 0.5 * peak_width and depth < _MAX_GRADING_DEPTH:
-        depth += 1
-    return [0.0] + [math.pi * 2.0 ** (-j) for j in range(depth, -1, -1)]
+def _grading_depth(zeta: float) -> int:
+    """max(7, ceil(log2(2 pi / peak_width))): the smallest depth >= 7 at
+    which the innermost panel [0, pi 2^-depth] is no wider than half the
+    spectral peak width sqrt((1 - 4 zeta)/zeta).
+
+    Worked out with frexp rather than log2, so that the comparison is
+    exact and the infinite width of a subnormal zeta (where 2 pi /
+    peak_width is 0) needs no special case: with peak_width = m 2^e and
+    1/2 <= m < 1, pi 2^-depth <= m 2^(e-1) holds from depth 3 - e on if
+    m >= pi/4 and from 4 - e on otherwise.
+    """
+    if zeta == 0.0:
+        return _BASE_PANELS - 1
+    m, e = math.frexp(math.sqrt((1.0 - 4.0 * zeta) / zeta))
+    return max(_BASE_PANELS - 1, 3 - e + (m < math.pi / 4.0))
 
 
-def _split_edges(edges: list[float]) -> list[float]:
-    out = [edges[0]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        out.append(0.5 * (a + b))
-        out.append(b)
-    return out
+@lru_cache(maxsize=None)  # at most 23 depths x 6 levels
+def _panel_rule(depth: int, level: int):
+    """Gauss-Legendre nodes and weights on the dyadic panels of the given
+    grading depth, each halved level times by taking midpoints."""
+    edges = np.concatenate(([0.0], math.pi * 2.0 ** -np.arange(depth, -1, -1)))
+    for _ in range(level):
+        split = np.empty(2 * edges.size - 1)
+        split[::2] = edges
+        split[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        edges = split
+    x, w = np.polynomial.legendre.leggauss(_POINTS_PER_PANEL)
+    a = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - a)
+    return (half * (x + 1.0) + a).ravel(), (half * w).ravel()
 
 
-@lru_cache(maxsize=64)
-def _gauss_rule(npts: int):
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return x, w
-
-
-@lru_cache(maxsize=256)
-def _panel_rule(edges: tuple[float, ...], npts: int):
-    x, w = _gauss_rule(npts)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(half * (x + 1.0) + a)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _converged(cur, prev, tol: float) -> bool:
+def _converged(cur, prev) -> bool:
     return all(
-        abs(c - p) <= tol * max(abs(c), 1e-300) for c, p in zip(cur, prev)
+        abs(c - p) <= _TARGET_TOL * max(abs(c), 1e-300) for c, p in zip(cur, prev)
     )

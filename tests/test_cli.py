@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfcar.cli import main
 from sfcar.correlation import PhysicalEnvironment, zeta_of_spacing
@@ -193,6 +197,18 @@ class TestOptimizeCommand:
                      "--E0", "0.1", "--nu", "2", "--n-min", "3", "--n-max", "6"])
         assert code == 3
 
+    def test_feasible_past_falling_comm_energy(self, capsys):
+        # at nu = 3 communication costs 1.2 J at n = 1 but 0.75 J at n = 2
+        code, out = run(capsys, ["optimize", "--L", "1", "--E", "1", "--alpha", "100",
+                                 "--beta", "1", "--E0", "0.1", "--nu", "3", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)[0]["feasible"] is True
+
+    def test_no_n_feasible_at_nu_2_5_exits_3(self, capsys):
+        code = main(["optimize", "--L", "1", "--E", "1", "--alpha", "100", "--beta", "1",
+                     "--E0", "0.1", "--nu", "2.5"])
+        assert code == 3
+
     def test_invalid_config_exits_2(self, capsys):
         code = main(["optimize", "--L", "-1", "--E", "50", "--alpha", "100", "--beta", "1",
                      "--E0", "0.1", "--nu", "2"])
@@ -304,3 +320,73 @@ class TestRejectedInput:
         cfg.write_text(json.dumps({"zeta": 0.1, "snr": 3}))
         err = self.rejected(capsys, ["rates", "--config", str(cfg)])
         assert "'snr'" in err
+
+    @pytest.mark.parametrize("half_width", ["1e300", "1e-300", "1e-154"])
+    def test_density_out_of_range(self, capsys, half_width):
+        # (2L)^2 overflows, underflows to 0, or leaves (2n+1)^2 / (2L)^2
+        # overflowing
+        err = self.rejected(capsys, ["sweep", "--L", half_width, "--E", "1", "--alpha", "100",
+                                     "--beta", "1", "--E0", "0.1", "--nu", "2", "--n-max", "2"])
+        assert "--L" in err
+
+    def test_overflowing_network_snr(self, capsys):
+        err = self.rejected(capsys, ["sweep", "--L", "1", "--E", "1e308", "--alpha", "100",
+                                     "--beta", "1e308", "--E0", "0.1", "--nu", "2",
+                                     "--n-max", "2"])
+        assert "--E" in err and "--beta" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n-max", "100000000"], ["--n-min", "100000000"], ["--mu-max", "1e308"],
+         ["--mu-min", "1e308"]],
+    )
+    def test_lattice_index_above_cap(self, capsys, flags):
+        err = self.rejected(capsys, ["sweep", *PAPER_ARGS, *flags])
+        assert flags[0] in err
+
+
+# Finite magnitudes from 1e-300 to 1e300, drawn both evenly and evenly in
+# the exponent, so that the fuzz reaches every decade.
+MAGNITUDE = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+)
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestFuzz:
+    """Any finite input ends in a result or one error line: exit 0, 2 or
+    3, no exception out of main, no nan or inf in the output, no warning."""
+
+    def check(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        assert caught == []
+        assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE)
+
+    @FUZZ
+    @given(zeta=MAGNITUDE, snr_db=MAGNITUDE)
+    def test_rates(self, zeta, snr_db):
+        self.check(["rates", "--zeta", repr(zeta), "--snr-db", repr(snr_db)])
+
+    @FUZZ
+    @given(alpha=MAGNITUDE, spacing=MAGNITUDE)
+    def test_map(self, alpha, spacing):
+        self.check(["map", "--alpha", repr(alpha), "--spacing", repr(spacing)])
+
+    @FUZZ
+    @given(
+        values=st.tuples(*[MAGNITUDE] * 5),
+        nu=st.floats(2.0, 1e3),
+        n_max=st.integers(1, 3),
+    )
+    def test_sweep(self, values, nu, n_max):
+        flags = ("--L", "--E", "--alpha", "--beta", "--E0")
+        argv = ["sweep", "--nu", repr(nu), "--n-max", str(n_max)]
+        for flag, value in zip(flags, values):
+            argv += [flag, repr(value)]
+        self.check(argv)

@@ -4,6 +4,7 @@ import pytest
 
 from sfcar.correlation import PhysicalEnvironment, edge_correlation, zeta_of_rho
 from sfcar.density import (
+    N_MAX_CAP,
     Objective,
     ScenarioConfig,
     evaluate_density,
@@ -64,7 +65,7 @@ class TestEvaluateDensity:
         assert row.e_s == e_s
         snr = node_snr(cfg.energy, e_s)
         assert row.snr == snr
-        rates = info_rates(zeta, snr, cfg.quadrature)
+        rates = info_rates(zeta, snr)
         assert row.kli_rate == rates.kli
         assert row.mi_rate == rates.mi
         assert (row.total_kli, row.total_mi) == total_information(dep, rates)
@@ -100,6 +101,33 @@ class TestSweep:
     def test_feasibility_boundary_value(self):
         # comm(n) = 0.1 (4n + 6 + 2/n) first exceeds 50 J at n = 124
         assert feasibility_boundary(paper_scenario()) == 124
+
+    def test_feasibility_boundary_at_paper_energies(self):
+        boundaries = [feasibility_boundary(paper_scenario(e)) for e in (100.0, 150.0, 200.0)]
+        assert boundaries == [249, 374, 499]
+
+    def test_boundary_past_falling_energy(self):
+        # at nu = 3 comm(n) = 0.2 (2 + 3/n + 1/n^2) falls from 1.2 J at n = 1
+        # toward 0.4 J, so only n = 1 exceeds E = 1 and the range runs on
+        cfg = ScenarioConfig(
+            half_width=1.0,
+            energy=EnergyModel(total_energy=1.0, e0=0.1, nu=3.0, beta=1.0),
+            environment=PhysicalEnvironment(alpha=100.0),
+        )
+        assert feasibility_boundary(cfg) == N_MAX_CAP
+        assert optimize(cfg).feasible
+
+    def test_boundary_when_nothing_is_feasible(self):
+        # at nu = 2.5 comm(n) is 1.2, 1.06, 1.08 J at n = 1, 2, 3: its least
+        # value exceeds E = 1, and the range ends where it starts to rise
+        cfg = ScenarioConfig(
+            half_width=1.0,
+            energy=EnergyModel(total_energy=1.0, e0=0.1, nu=2.5, beta=1.0),
+            environment=PhysicalEnvironment(alpha=100.0),
+        )
+        assert feasibility_boundary(cfg) == 2
+        with pytest.raises(NoFeasibleDensityError):
+            optimize(cfg)
 
     def test_deterministic(self):
         cfg = paper_scenario(n_min=1, n_max=30)
@@ -149,3 +177,7 @@ class TestOptimize:
             paper_scenario(n_min=0)
         with pytest.raises(DomainError):
             paper_scenario(n_min=5, n_max=4)
+        with pytest.raises(DomainError):
+            paper_scenario(n_max=N_MAX_CAP + 1)
+        with pytest.raises(DomainError):
+            paper_scenario(n_min=N_MAX_CAP + 1)

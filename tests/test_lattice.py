@@ -25,7 +25,7 @@ class TestTorusRates:
         assert (rates.kli, rates.mi) == (0.0, 0.0)
 
     def test_gap_shrinks_with_n(self):
-        quad = info_rates(0.2, 10.0, None)
+        quad = info_rates(0.2, 10.0)
         gaps = []
         for n in (64, 128, 256):
             torus = torus_rates(0.2, 10.0, TorusSpec(n))

@@ -27,7 +27,11 @@ class TestDeployment:
         assert dep.node_count == 49
         assert dep.density == pytest.approx(49.0 / 4.0)
 
-    @pytest.mark.parametrize("L,n", [(0.0, 1), (-1.0, 2), (1.0, 0)])
+    # (2L)^2 overflows at 1e300 and underflows to 0 at 1e-300; at 1e-154
+    # it is finite but the density 9 / (2L)^2 overflows
+    @pytest.mark.parametrize(
+        "L,n", [(0.0, 1), (-1.0, 2), (1.0, 0), (1e300, 1), (1e-300, 1), (1e-154, 1)]
+    )
     def test_validation(self, L, n):
         with pytest.raises(DomainError):
             Deployment(half_width=L, n=n)
@@ -61,6 +65,17 @@ class TestEdgeEnergy:
     def test_domain(self):
         with pytest.raises(DomainError):
             comm_energy_per_edge(PAPER_ENERGY, 0.0)
+        with pytest.raises(DomainError):
+            comm_energy_per_edge(PAPER_ENERGY, float("inf"))
+
+    def test_overflowing_power(self):
+        # 10^1000 is beyond the double range: no budget pays for the hop
+        steep = EnergyModel(total_energy=1.0, e0=0.1, nu=1000.0, beta=1.0)
+        assert comm_energy_per_edge(steep, 10.0) == float("inf")
+        free = EnergyModel(total_energy=1.0, e0=0.0, nu=1000.0, beta=1.0)
+        assert comm_energy_per_edge(free, 10.0) == 0.0
+        with pytest.raises(InfeasibleDensityError):
+            sensing_energy_per_node(steep, Deployment(10.0, 1))
 
 
 class TestHopCount:

@@ -7,7 +7,6 @@ from sfcar.errors import DomainError
 from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.rates import (
     InfoRates,
-    QuadratureConfig,
     info_rates,
     kli_rate,
     mi_rate,
@@ -124,12 +123,12 @@ class TestProperties:
         # the 2-D tensor Gauss-Legendre sum of the defining integrands on
         # the same graded panels, with no closed-form inner integral
         from sfcar import kernels
-        from sfcar.rates import _graded_edges, _panel_rule
+        from sfcar.rates import _grading_depth, _panel_rule
 
         snr = 3.0
         for zeta in (0.0, 0.18, 0.25 - 1e-12):
             cnorm = (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)
-            nodes, weights = _panel_rule(tuple(_graded_edges(zeta, 8)), 16)
+            nodes, weights = _panel_rule(_grading_depth(zeta), 0)
             cos_nodes = np.cos(nodes)
             kli, mi = kernels.rate_sums(
                 cos_nodes, weights, cos_nodes, weights, zeta, snr, cnorm
@@ -144,6 +143,46 @@ class TestProperties:
         assert (a.kli, a.mi) == (b.kli, b.mi)
 
 
+class TestQuadratureScheme:
+    # 0, a subnormal (infinite peak width), a grid toward 1/4, the doubles
+    # next to each zeta whose peak width is exactly 2 pi 2^-d (the depth
+    # thresholds), and the last double below 1/4
+    ZETAS = [
+        z
+        for z in (
+            [0.0, 5e-324, 1e-300, 1e-12, 1e-4, 0.05, 0.1, 0.2, 0.24, 0.2499]
+            + [0.25 - float(t) for t in np.logspace(-16, -0.7, 200)]
+            + [
+                float(np.nextafter(1.0 / (4.0 + math.pi**2 * 4.0 ** (1 - d)), side))
+                for d in range(6, 30)
+                for side in (0.0, 1.0)
+            ]
+            + [float(np.nextafter(0.25, 0.0))]
+        )
+        if z < 0.25
+    ]
+
+    def test_grading_depth_is_smallest_that_resolves_peak(self):
+        from sfcar.rates import _grading_depth
+
+        for zeta in self.ZETAS:
+            depth = _grading_depth(zeta)
+            half_width = 0.5 * (math.sqrt((1.0 - 4.0 * zeta) / zeta) if zeta else math.pi)
+            assert math.pi * 2.0**-depth <= half_width, zeta
+            assert depth == 7 or math.pi * 2.0 ** -(depth - 1) > half_width, zeta
+
+    @pytest.mark.parametrize("depth", [7, 18, 29])
+    @pytest.mark.parametrize("level", [0, 1, 5])
+    def test_panel_rule(self, depth, level):
+        from sfcar.rates import _panel_rule
+
+        nodes, weights = _panel_rule(depth, level)
+        assert nodes.size == weights.size == 16 * (depth + 1) * 2**level
+        assert abs(weights.sum() - math.pi) <= 1e-15
+        assert 0.0 < nodes[0] and nodes[-1] < math.pi
+        assert np.all(np.diff(nodes) > 0.0)
+
+
 class TestValidation:
     @pytest.mark.parametrize(
         "zeta,snr",
@@ -153,14 +192,6 @@ class TestValidation:
     def test_domain_errors(self, zeta, snr):
         with pytest.raises(DomainError):
             info_rates(zeta, snr)
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(points_per_panel=1)
-        with pytest.raises(DomainError):
-            QuadratureConfig(target_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureConfig(panels_per_axis=0)
 
     def test_info_rates_invariant(self):
         with pytest.raises(DomainError):
