@@ -260,6 +260,8 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
 def _lattice_index(half_width: float, mu: float, flag: str) -> float:
     # n at which the density (2n+1)^2 / (2L)^2 equals mu; checked against
     # the cap while a float, since an infinite one has no integer
+    if mu < 0.0:
+        raise DomainError(f"{flag} {mu!r} is a density and must be >= 0")
     n = (2.0 * half_width * math.sqrt(mu) - 1.0) / 2.0
     if not n <= N_MAX_CAP:
         raise DomainError(
@@ -289,14 +291,20 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     _require(args, "zeta", "snr_db", "N")
+    specs = []
+    for n in args.N:
+        try:
+            specs.append(TorusSpec(n))
+        except DomainError as exc:
+            raise DomainError(f"--N {n}: {exc}") from None
     snr = _snr_linear(args.snr_db)
     quad = info_rates(args.zeta, snr)
     records = []
-    for n in args.N:
-        torus = torus_rates(args.zeta, snr, TorusSpec(n))
+    for spec in specs:
+        torus = torus_rates(args.zeta, snr, spec)
         records.append(
             {
-                "N": n,
+                "N": spec.n_per_axis,
                 "kli_torus": torus.kli,
                 "mi_torus": torus.mi,
                 "kli_quad": quad.kli,

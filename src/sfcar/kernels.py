@@ -3,13 +3,16 @@
 The torus oracle averages the KL and MI integrands over the 2-D DFT grid
 with this sum.  It shares no formula with the one-dimensional rate
 quadrature in ``sfcar.rates``, so the two check each other.  Rows are
-processed in fixed-size blocks to bound peak memory on large DFT grids
-(a 4096x4096 grid would otherwise materialize ~135 MB per temporary).
+processed in blocks of about 2**15 elements, 256 KB per temporary, so
+that each block's temporaries stay in cache and peak memory does not
+grow with the grid.  While a block holds two or more rows (rows of up
+to 2**14 points), its BLAS matrix-vector products also stay on one
+thread; a second thread costs more CPU time than it saves wall time.
 """
 
 import numpy as np
 
-_BLOCK_ELEMENTS = 1 << 22
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def rate_sums(cos1, w1, cos2, w2, zeta: float, snr: float, cnorm: float):

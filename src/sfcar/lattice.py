@@ -7,6 +7,13 @@ the spectral integrands over that grid and converges to the asymptotic
 rate integrals as N grows; this provides an independent check of the
 quadrature without any matrix factorization.
 
+The integrands depend on a frequency only through its cosine, and
+cos(2 pi k / N) = cos(2 pi (N - k) / N), so each axis is folded onto its
+N // 2 + 1 distinct cosines, k = 0 .. N // 2.  Each carries the share of
+the N frequencies that map to it: 1/N for k = 0 and, when N is even, for
+k = N / 2, and 2/N for every other k.  The average is unchanged; the sum
+has about a quarter of the points.
+
 For tiny N a second, first-principles route is provided: synthesize the
 dense N^2 x N^2 covariance from the spectral eigenvalues and evaluate
 the Gaussian KL divergence and mutual information from log-determinants
@@ -26,25 +33,29 @@ from sfcar.rates import InfoRates, _check_zeta_snr, _spectral_norm
 from sfcar.special import complete_elliptic_k  # noqa: F401
 
 _DENSE_N_MAX = 12
+# About 1.07e9 folded grid points: on the order of ten seconds of summing.
+TORUS_N_MAX = 65536
 
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """Validation lattice size: N x N nodes, N >= 2."""
+    """Validation lattice size: N x N nodes, 2 <= N <= TORUS_N_MAX."""
 
     n_per_axis: int
 
     def __post_init__(self) -> None:
-        if self.n_per_axis < 2:
-            raise DomainError(f"torus needs N >= 2, got {self.n_per_axis!r}")
+        if not 2 <= self.n_per_axis <= TORUS_N_MAX:
+            raise DomainError(
+                f"torus needs 2 <= N <= {TORUS_N_MAX}, got {self.n_per_axis!r}"
+            )
 
 
 def torus_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
     """Per-node KL and MI rates of the hidden field on an N x N torus.
 
     Discrete averages of the spectral integrands over the DFT frequency
-    grid; noise variance is fixed at 1 inside the oracle and snr scales
-    the signal spectrum directly.
+    grid, folded onto its distinct cosines; noise variance is fixed at 1
+    inside the oracle and snr scales the signal spectrum directly.
     """
     _check_zeta_snr(zeta, snr)
     if zeta == 0.25:
@@ -52,9 +63,9 @@ def torus_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
     if snr == 0.0:
         return InfoRates(0.0, 0.0)
     n = spec.n_per_axis
-    omega = 2.0 * math.pi * np.arange(n) / n
-    cos_omega = np.cos(omega)
-    w = np.full(n, 1.0 / n)
+    k = np.arange(n // 2 + 1)
+    cos_omega = np.cos(2.0 * math.pi * k / n)
+    w = np.where((k == 0) | (2 * k == n), 1.0 / n, 2.0 / n)
     kli, mi = kernels.rate_sums(
         cos_omega, w, cos_omega, w, zeta, snr, _spectral_norm(zeta)
     )

@@ -7,13 +7,13 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfcar.cli import main
 from sfcar.correlation import PhysicalEnvironment, zeta_of_spacing
 from sfcar.density import Objective, ScenarioConfig, optimize, sweep
-from sfcar.lattice import TorusSpec, dense_gaussian_rates
+from sfcar.lattice import TORUS_N_MAX, TorusSpec, dense_gaussian_rates
 from sfcar.network import EnergyModel
 from sfcar.rates import info_rates
 
@@ -344,6 +344,17 @@ class TestRejectedInput:
         err = self.rejected(capsys, ["sweep", *PAPER_ARGS, *flags])
         assert flags[0] in err
 
+    @pytest.mark.parametrize("flag", ["--mu-min", "--mu-max"])
+    def test_negative_density_bound(self, capsys, flag):
+        err = self.rejected(capsys, ["sweep", *PAPER_ARGS, flag, "-1"])
+        assert flag in err and "-1" in err
+
+    @pytest.mark.parametrize("size", ["1", str(TORUS_N_MAX + 1)])
+    def test_torus_size_out_of_range(self, capsys, size):
+        err = self.rejected(capsys, ["validate", "--zeta", "0.1", "--snr-db", "0",
+                                     "--N", "8", size])
+        assert "--N" in err and size in err
+
 
 # Finite magnitudes from 1e-300 to 1e300, drawn both evenly and evenly in
 # the exponent, so that the fuzz reaches every decade.
@@ -390,3 +401,10 @@ class TestFuzz:
         for flag, value in zip(flags, values):
             argv += [flag, repr(value)]
         self.check(argv)
+
+    @FUZZ
+    @given(zeta=MAGNITUDE, snr_db=MAGNITUDE, n=st.integers(2, 64))
+    @example(zeta=0.1, snr_db=0.0, n=TORUS_N_MAX + 1)
+    def test_validate(self, zeta, snr_db, n):
+        self.check(["validate", "--zeta", repr(zeta), "--snr-db", repr(snr_db),
+                    "--N", str(n)])

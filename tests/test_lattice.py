@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sfcar import kernels
 from sfcar.errors import DomainError
-from sfcar.lattice import TorusSpec, dense_gaussian_rates, torus_rates
+from sfcar.lattice import TORUS_N_MAX, TorusSpec, dense_gaussian_rates, torus_rates
 from sfcar.rates import info_rates
 from sfcar.special import complete_elliptic_k
 
@@ -59,9 +60,38 @@ class TestTorusRates:
         assert a[0] == pytest.approx(b[0], rel=1e-14)
         assert a[1] == pytest.approx(b[1], rel=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 511, 512])
+    @pytest.mark.parametrize("zeta", [0.1, 0.2499])
+    def test_fold_matches_full_grid(self, n, zeta):
+        # the plain average over all N^2 DFT frequencies, unfolded; odd N
+        # has no k = N/2 term, even N weights it like k = 0
+        snr = 3.0
+        cnorm = (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)
+        c = np.cos(2.0 * np.pi * np.arange(n) / n)
+        s = snr / (cnorm * (1.0 - 2.0 * zeta * (c[:, None] + c[None, :])))
+        mi = np.mean(0.5 * np.log1p(s))
+        kli = np.mean(0.5 * np.log1p(s) - 0.5 * s / (1.0 + s))
+        rates = torus_rates(zeta, snr, TorusSpec(n))
+        assert rates.kli == pytest.approx(kli, rel=1e-13, abs=0)
+        assert rates.mi == pytest.approx(mi, rel=1e-13, abs=0)
+
+    def test_memory_does_not_grow_with_grid(self):
+        # the folded 2049^2 grid is summed in cache-sized blocks; the
+        # whole grid as one temporary would be 34 MB
+        tracemalloc.start()
+        try:
+            torus_rates(0.2, 1.0, TorusSpec(4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             TorusSpec(1)
+        with pytest.raises(DomainError):
+            TorusSpec(TORUS_N_MAX + 1)
+        assert TorusSpec(TORUS_N_MAX).n_per_axis == TORUS_N_MAX
         with pytest.raises(DomainError):
             torus_rates(0.25, 1.0, TorusSpec(8))
         with pytest.raises(DomainError):
