@@ -22,10 +22,8 @@ from sfcar.errors import (
     DomainError,
     InfeasibleDensityError,
     NoFeasibleDensityError,
-    QuadratureError,
     SfcarError,
 )
-from sfcar.lattice import TorusSpec, dense_gaussian_rates, torus_rates
 from sfcar.model import (
     NoiseModel,
     SfcarParams,
@@ -43,21 +41,28 @@ from sfcar.network import (
     total_comm_energy,
     total_information,
 )
-from sfcar.rates import (
-    InfoRates,
-    info_rates,
-    kli_rate,
-    mi_rate,
-    snr_spectral_ratio,
-)
+from sfcar.rates import InfoRates, info_rates, kli_rate, mi_rate
 from sfcar.special import bessel_k1, complete_elliptic_k
 
 __version__ = "0.1.0"
 
 
+# The finite-lattice oracles need NumPy, which nothing else imports; they
+# load on first use, so that `import sfcar` does not pay for it.
+_LATTICE_NAMES = ("TorusSpec", "dense_gaussian_rates", "torus_rates")
+
+
+def __getattr__(name: str):
+    if name in _LATTICE_NAMES:
+        from sfcar import lattice
+
+        return getattr(lattice, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def backend_name() -> str:
-    """Name of the code path that evaluates the rates; NumPy is the only one."""
-    return "numpy"
+    """Name of the code path that evaluates the rates: plain Python."""
+    return "python"
 
 
 __all__ = [
@@ -86,14 +91,12 @@ __all__ = [
     "Objective",
     "optimize",
     "PhysicalEnvironment",
-    "QuadratureError",
     "rho_of_zeta",
     "ScenarioConfig",
     "sensing_energy_per_node",
     "SfcarError",
     "SfcarParams",
     "signal_power",
-    "snr_spectral_ratio",
     "spectral_density",
     "sweep",
     "SweepRow",

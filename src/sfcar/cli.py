@@ -27,15 +27,9 @@ from sfcar.density import (
     optimize,
     sweep,
 )
-from sfcar.errors import (
-    DivergenceError,
-    DomainError,
-    NoFeasibleDensityError,
-    QuadratureError,
-)
-from sfcar.lattice import TorusSpec, torus_rates
+from sfcar.errors import DivergenceError, DomainError, NoFeasibleDensityError
 from sfcar.network import EnergyModel
-from sfcar.rates import info_rates
+from sfcar.rates import InfoRates, info_rates
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -73,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             args = _apply_config_file(parser, argv, args)
         return args.handler(args)
-    except (DomainError, DivergenceError, QuadratureError, ValueError) as exc:
+    except (DomainError, DivergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except NoFeasibleDensityError as exc:
@@ -289,7 +283,17 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def torus_rates(zeta: float, snr: float, spec) -> InfoRates:
+    """sfcar.lattice.torus_rates, imported on first call: the torus needs
+    NumPy, which no other command loads."""
+    from sfcar.lattice import torus_rates as torus
+
+    return torus(zeta, snr, spec)
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from sfcar.lattice import TorusSpec
+
     _require(args, "zeta", "snr_db", "N")
     specs = []
     for n in args.N:

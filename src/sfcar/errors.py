@@ -18,10 +18,6 @@ class DivergenceError(SfcarError, ArithmeticError):
     """
 
 
-class QuadratureError(SfcarError, RuntimeError):
-    """Panel refinement failed to reach the requested tolerance."""
-
-
 class InfeasibleDensityError(SfcarError):
     """Communication energy meets or exceeds the total budget, leaving no
     sensing energy."""

@@ -2,7 +2,8 @@
 
 Each oracle evaluates a defining integral, root or brute-force sum with
 SciPy's special functions, adaptive quadrature and root finding or with
-plain enumeration.  Nothing here imports sfcar: the oracles share no code
+plain enumeration; `spectral_ratio` writes out the spectral ratio in
+NumPy.  Nothing here imports sfcar: the oracles share no code
 path with the library implementations they check.
 """
 
@@ -10,6 +11,7 @@ import math
 import sys
 from itertools import accumulate
 
+import numpy as np
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
 from scipy.special import ellipkm1, k1
@@ -150,6 +152,13 @@ def _log1p_minus_x(x: float) -> float:
         k += 2
 
 
+def spectral_ratio(zeta: float, snr: float, cnorm: float, omega1, omega2):
+    """The spectral ratio s = snr / (cnorm (1 - 2 zeta (cos w1 + cos w2)))
+    at scalar or array frequencies.  With cnorm = (2/pi) K(4 zeta) its
+    average over the frequency square is snr."""
+    return snr / (cnorm * (1.0 - 2.0 * zeta * (np.cos(omega1) + np.cos(omega2))))
+
+
 def kli_rate_1d(zeta: float, snr: float) -> float:
     """Per-node KL rate from the one-dimensional form of its integral.
 
@@ -169,6 +178,16 @@ def kli_rate_1d(zeta: float, snr: float) -> float:
     doubling multiples of the spectral peak width sqrt((1 - 4 zeta)/zeta),
     and its error estimate is checked against KLI_EPSREL.
     """
+    return _rate_1d(zeta, snr, kl=True)
+
+
+def mi_rate_1d(zeta: float, snr: float) -> float:
+    """Per-node MI rate (1/2pi) int_0^pi log1p(x) dw, with x and the
+    quadrature as in kli_rate_1d."""
+    return _rate_1d(zeta, snr, kl=False)
+
+
+def _rate_1d(zeta: float, snr: float, kl: bool) -> float:
     c = 1.0 + _cnorm_minus_one(zeta)
     delta = 1.0 - 4.0 * zeta
 
@@ -181,6 +200,8 @@ def kli_rate_1d(zeta: float, snr: float) -> float:
         r1 = math.sqrt((lo + snr) * (hi + snr))
         u = a0 + r0
         x = snr * (u + a1 + r1) / (u * (r0 + r1))
+        if not kl:
+            return math.log1p(x)
         if x > 0.1:
             return math.log1p(x) - snr / r1
         head = snr * snr * ((a0 + a1) * (1.0 + a1 / (r0 + r1)) + r0)

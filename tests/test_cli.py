@@ -2,14 +2,20 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sfcar
+import sfcar.cli
 from sfcar.cli import main
 from sfcar.correlation import PhysicalEnvironment, zeta_of_spacing
 from sfcar.density import Objective, ScenarioConfig, optimize, sweep
@@ -242,6 +248,66 @@ class TestValidateCommand:
 
     def test_domain_violation_exits_2(self, capsys):
         assert main(["validate", "--zeta", "0.25", "--snr-db", "0", "--N", "8"]) == 2
+
+    def test_torus_looked_up_at_call_time(self, capsys, monkeypatch):
+        # validate calls the module attribute cli.torus_rates, so a wrapper
+        # put there (as a tracer does) sees every torus call
+        calls = []
+        original = sfcar.cli.torus_rates
+
+        def wrapper(*args):
+            calls.append(args[2].n_per_axis)
+            return original(*args)
+
+        monkeypatch.setattr(sfcar.cli, "torus_rates", wrapper)
+        code, _ = run(capsys, ["validate", "--zeta", "0.1", "--snr-db", "0", "--N", "8", "16"])
+        assert code == 0
+        assert calls == [8, 16]
+
+
+class TestImportGraph:
+    # NumPy serves the finite-lattice oracles alone; a fresh interpreter
+    # runs every other command without loading it
+    SCRIPT = """
+import contextlib, io, json, sys
+import sfcar
+from sfcar.cli import main
+
+paper = {paper!r}
+seen = {{}}
+for argv in (
+    ["rates", "--zeta", "0.2", "--snr-db", "10"],
+    ["map", "--alpha", "100", "--spacing", "0.01"],
+    ["sweep", *paper, "--n-max", "3"],
+    ["optimize", *paper],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[argv[0]] = main(argv)
+seen["numpy_before_validate"] = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["validate"] = main(["validate", "--zeta", "0.2", "--snr-db", "0", "--N", "8"])
+from sfcar import TorusSpec, dense_gaussian_rates, torus_rates
+seen["lattice_names"] = torus_rates(0.2, 1.0, TorusSpec(8)) == sfcar.torus_rates(
+    0.2, 1.0, sfcar.TorusSpec(8)) and dense_gaussian_rates.__module__ == "sfcar.lattice"
+print(json.dumps(seen))
+"""
+
+    def test_numpy_loaded_only_by_validate(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT.format(paper=PAPER_ARGS)],
+            capture_output=True, text=True, env=env, check=False, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen == {
+            "rates": 0, "map": 0, "sweep": 0, "optimize": 0,
+            "numpy_before_validate": False, "validate": 0, "lattice_names": True,
+        }
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError):
+            sfcar.no_such_name  # noqa: B018
 
 
 class TestConfigFile:

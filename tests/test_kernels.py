@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,10 +47,28 @@ class TestBlockedSum:
         for a, b in zip(blocked, single):
             assert a == pytest.approx(b, rel=5e-13)
 
+    def test_long_rows_in_column_blocks(self):
+        # rows longer than 2^14 are summed in blocks of 4 rows by 2^12
+        # columns (10 here), so the temporaries stay near 128 KB each
+        rng = np.random.default_rng(7)
+        cos1, w1 = random_grid(rng, 3)
+        cos2, w2 = random_grid(rng, 40_000)
+        assert cos2.size > kernels._BLOCK_ELEMENTS // 2
+        tracemalloc.start()
+        try:
+            blocked = kernels.rate_sums(cos1, w1, cos2, w2, 0.2, 10.0, 1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        single = single_block_sums(cos1, w1, cos2, w2, 0.2, 10.0, 1.3)
+        for a, b in zip(blocked, single):
+            assert a == pytest.approx(b, rel=5e-13)
+        assert peak < 2**20
+
 
 class TestDispatch:
     def test_backend_reported(self):
-        assert sfcar.backend_name() == "numpy"
+        assert sfcar.backend_name() == "python"
 
     def test_dispatch_callable(self):
         c = np.cos(np.linspace(0.1, 3.0, 16))

@@ -1,20 +1,24 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from sfcar import kernels
 from sfcar.errors import DomainError
 from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.rates import (
+    _GAUSS,
+    _rule,
+    _spectral_norm,
     InfoRates,
     info_rates,
     kli_rate,
     mi_rate,
-    snr_spectral_ratio,
 )
 from sfcar.special import complete_elliptic_k
 
-from oracles import _log1p_minus_x, kli_rate_1d
+from oracles import _log1p_minus_x, ellipk_integral, kli_rate_1d, mi_rate_1d, spectral_ratio
 
 
 def closed_form_kli(snr: float) -> float:
@@ -26,28 +30,32 @@ def closed_form_mi(snr: float) -> float:
 
 
 class TestSpectralRatio:
+    # the library's normalization (2/pi) K(4 zeta) in the spectral ratio
     def test_white_field_is_flat(self):
         for w1, w2 in [(0.0, 0.0), (1.0, 2.0), (math.pi, math.pi)]:
-            assert snr_spectral_ratio(0.0, 3.0, w1, w2) == pytest.approx(3.0)
+            s = spectral_ratio(0.0, 3.0, _spectral_norm(0.0), w1, w2)
+            assert s == pytest.approx(3.0)
 
     def test_corner_value(self):
-        c = (2.0 / math.pi) * complete_elliptic_k(0.8)
+        c = (2.0 / math.pi) * ellipk_integral(0.8)
         expected = 1.0 / (c * 1.8)
-        assert snr_spectral_ratio(0.2, 1.0, math.pi, math.pi) == pytest.approx(expected)
+        s = spectral_ratio(0.2, 1.0, _spectral_norm(0.2), math.pi, math.pi)
+        assert s == pytest.approx(expected)
 
     def test_zero_snr(self):
-        assert snr_spectral_ratio(0.1, 0.0, 0.3, 0.7) == 0.0
+        assert spectral_ratio(0.1, 0.0, _spectral_norm(0.1), 0.3, 0.7) == 0.0
 
     def test_average_equals_snr(self):
         # normalization identity on a large DFT grid
         n = 512
         w = 2.0 * np.pi * np.arange(n) / n
-        s = snr_spectral_ratio(0.2, 2.5, w[:, None], w[None, :])
+        s = spectral_ratio(0.2, 2.5, _spectral_norm(0.2), w[:, None], w[None, :])
         assert float(np.mean(s)) == pytest.approx(2.5, rel=1e-6)
 
     def test_endpoint_rejected(self):
+        # the normalization diverges where the ratio is undefined
         with pytest.raises(DomainError):
-            snr_spectral_ratio(0.25, 1.0, 0.0, 0.0)
+            _spectral_norm(0.25)
 
 
 class TestClosedForms:
@@ -120,15 +128,21 @@ class TestProperties:
                 assert 0.0 < r.kli < r.mi
 
     def test_agrees_with_tensor_sum(self):
-        # the 2-D tensor Gauss-Legendre sum of the defining integrands on
-        # the same graded panels, with no closed-form inner integral
-        from sfcar import kernels
-        from sfcar.rates import _grading_depth, _panel_rule
-
+        # the 2-D tensor Gauss-Legendre sum of the defining integrands, with
+        # no closed-form inner integral, on 16-point panels graded toward
+        # the spectral peak: [0, pi 2^-d], ..., [pi/2, pi], each halved once,
+        # with the innermost no wider than the peak width sqrt(delta/zeta)
+        x, w = np.polynomial.legendre.leggauss(16)
         snr = 3.0
         for zeta in (0.0, 0.18, 0.25 - 1e-12):
+            width = math.sqrt((1.0 - 4.0 * zeta) / zeta) if zeta else math.pi
+            depth = max(7, math.ceil(math.log2(math.pi / width)))
+            edges = np.concatenate(([0.0], math.pi * 2.0 ** -np.arange(depth, -1, -1)))
+            edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
+            half = 0.5 * np.diff(edges)[:, None]
+            nodes = (half * (x + 1.0) + edges[:-1, None]).ravel()
+            weights = (half * w).ravel()
             cnorm = (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)
-            nodes, weights = _panel_rule(_grading_depth(zeta), 0)
             cos_nodes = np.cos(nodes)
             kli, mi = kernels.rate_sums(
                 cos_nodes, weights, cos_nodes, weights, zeta, snr, cnorm
@@ -143,18 +157,36 @@ class TestProperties:
         assert (a.kli, a.mi) == (b.kli, b.mi)
 
 
+def _gauss_legendre_12():
+    """Positive nodes and weights of the 12-point Gauss-Legendre rule,
+    rounded from Newton's method on P_12 in 40-digit decimal arithmetic."""
+    n = 12
+    rule = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for i in range(1, n // 2 + 1):
+            x = Decimal(math.cos(math.pi * (i - 0.25) / (n + 0.5)))
+            for _ in range(8):
+                p_prev, p = Decimal(1), x  # P_0, P_1
+                for j in range(1, n):
+                    p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+                x -= p * (x * x - 1) / (n * (x * p - p_prev))  # P_n / P_n'
+            rule.append((float(x), float(2 * (1 - x * x) / (n * p_prev) ** 2)))
+    return sorted(rule)
+
+
 class TestQuadratureScheme:
-    # 0, a subnormal (infinite peak width), a grid toward 1/4, the doubles
-    # next to each zeta whose peak width is exactly 2 pi 2^-d (the depth
-    # thresholds), and the last double below 1/4
+    # 0, a subnormal, a grid toward 1/4, the doubles next to each zeta at
+    # which the rule gains a panel (asinh(1/sqrt(delta)) = 1.5 m), and the
+    # last double below 1/4
     ZETAS = [
         z
         for z in (
             [0.0, 5e-324, 1e-300, 1e-12, 1e-4, 0.05, 0.1, 0.2, 0.24, 0.2499]
             + [0.25 - float(t) for t in np.logspace(-16, -0.7, 200)]
             + [
-                float(np.nextafter(1.0 / (4.0 + math.pi**2 * 4.0 ** (1 - d)), side))
-                for d in range(6, 30)
+                float(np.nextafter(0.25 * (1.0 - math.sinh(1.5 * m) ** -2), side))
+                for m in range(1, 13)
                 for side in (0.0, 1.0)
             ]
             + [float(np.nextafter(0.25, 0.0))]
@@ -162,25 +194,63 @@ class TestQuadratureScheme:
         if z < 0.25
     ]
 
-    def test_grading_depth_is_smallest_that_resolves_peak(self):
-        from sfcar.rates import _grading_depth
-
+    @pytest.mark.parametrize("snr", [2e-7, 1e-3, 1.0, 1e2, 1e4])
+    def test_matches_adaptive_quadrature(self, snr):
         for zeta in self.ZETAS:
-            depth = _grading_depth(zeta)
-            half_width = 0.5 * (math.sqrt((1.0 - 4.0 * zeta) / zeta) if zeta else math.pi)
-            assert math.pi * 2.0**-depth <= half_width, zeta
-            assert depth == 7 or math.pi * 2.0 ** -(depth - 1) > half_width, zeta
+            rates = info_rates(zeta, snr)
+            kli, mi = kli_rate_1d(zeta, snr), mi_rate_1d(zeta, snr)
+            assert rates.kli == pytest.approx(kli, rel=1e-12, abs=0.0), zeta
+            assert rates.mi == pytest.approx(mi, rel=1e-12, abs=0.0), zeta
+
+    def test_node_count(self):
+        # 12 nodes a panel: panels of at most 1.5 in u on [0, asinh(1/sqrt(delta))]
+        # and one on [pi/2, pi]; at most 168, at delta = 2^-53
+        for zeta in self.ZETAS:
+            delta = 1.0 - 4.0 * zeta
+            count = len(_rule(delta))
+            assert count == 12 * (math.ceil(math.asinh(delta**-0.5) / 1.5) + 1), zeta
+            assert count <= 168, zeta
+        assert len(_rule(1.0)) == 24
+        assert len(_rule(1.0 - 4.0 * float(np.nextafter(0.25, 0.0)))) == 168
+
+    def test_weights_integrate_the_interval(self):
+        # the weights in w of the mapped panels and the outer one add up to
+        # pi (worst seen 9.9e-16 relative)
+        for zeta in self.ZETAS:
+            total = math.fsum(w for _, _, w in _rule(1.0 - 4.0 * zeta))
+            assert total == pytest.approx(math.pi, rel=2e-15, abs=0.0), zeta
 
     @pytest.mark.parametrize("depth", [7, 18, 29])
     @pytest.mark.parametrize("level", [0, 1, 5])
     def test_panel_rule(self, depth, level):
-        from sfcar.rates import _panel_rule
+        # at delta = 2^-depth: the size, positive weights, nodes strictly
+        # inside (0, pi) and distinct (g rises with w from delta at 0 to 1 at
+        # pi), and the integrals over [0, pi] of g^level and k^level, trig
+        # polynomials of degree level in w, against their closed forms
+        # pi sum_j C(n, j) b^(n-j) (1-delta)^j C(2j, j)/4^j, with b = delta
+        # for g and b = 1 for k (worst seen 2.3e-15)
+        delta = 2.0**-depth
+        rule = _rule(delta)
+        assert len(rule) == 12 * (math.ceil(math.asinh(2.0 ** (0.5 * depth)) / 1.5) + 1)
+        assert all(w > 0.0 for _, _, w in rule)
+        gs = sorted(g for g, _, _ in rule)
+        assert delta < gs[0] and gs[-1] < 1.0
+        assert all(b > a for a, b in zip(gs, gs[1:]))
+        for base, position in ((delta, 0), (1.0, 1)):
+            exact = math.pi * math.fsum(
+                math.comb(level, j) * base ** (level - j) * (1.0 - delta) ** j
+                * math.comb(2 * j, j) / 4**j
+                for j in range(level + 1)
+            )
+            total = math.fsum(node[position] ** level * node[2] for node in rule)
+            assert total == pytest.approx(exact, rel=5e-15, abs=0.0), base
 
-        nodes, weights = _panel_rule(depth, level)
-        assert nodes.size == weights.size == 16 * (depth + 1) * 2**level
-        assert abs(weights.sum() - math.pi) <= 1e-15
-        assert 0.0 < nodes[0] and nodes[-1] < math.pi
-        assert np.all(np.diff(nodes) > 0.0)
+    def test_gauss_constants(self):
+        assert sorted((x, w) for x, w in _GAUSS if x > 0.0) == _gauss_legendre_12()
+        # NumPy's nodes agree to 1 ulp; its weights are off by up to 60 ulps
+        nodes, _ = np.polynomial.legendre.leggauss(12)
+        stored = np.sort([x for x, _ in _GAUSS])
+        assert np.all(np.abs(stored - nodes) <= np.spacing(np.abs(nodes)))
 
 
 class TestValidation:
