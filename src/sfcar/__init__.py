@@ -18,18 +18,10 @@ from sfcar.density import (
     sweep,
 )
 from sfcar.errors import (
-    DivergenceError,
     DomainError,
     InfeasibleDensityError,
     NoFeasibleDensityError,
     SfcarError,
-)
-from sfcar.model import (
-    NoiseModel,
-    SfcarParams,
-    measurement_snr,
-    signal_power,
-    spectral_density,
 )
 from sfcar.network import (
     Deployment,
@@ -42,7 +34,7 @@ from sfcar.network import (
     total_information,
 )
 from sfcar.rates import InfoRates, info_rates, kli_rate, mi_rate
-from sfcar.special import bessel_k1, complete_elliptic_k
+from sfcar.special import bessel_k1, complete_elliptic_e, complete_elliptic_k
 
 __version__ = "0.1.0"
 
@@ -69,10 +61,10 @@ __all__ = [
     "backend_name",
     "bessel_k1",
     "comm_energy_per_edge",
+    "complete_elliptic_e",
     "complete_elliptic_k",
     "dense_gaussian_rates",
     "Deployment",
-    "DivergenceError",
     "DomainError",
     "edge_correlation",
     "EnergyModel",
@@ -83,10 +75,8 @@ __all__ = [
     "InfoRates",
     "info_rates",
     "kli_rate",
-    "measurement_snr",
     "mi_rate",
     "NoFeasibleDensityError",
-    "NoiseModel",
     "node_snr",
     "Objective",
     "optimize",
@@ -95,9 +85,6 @@ __all__ = [
     "ScenarioConfig",
     "sensing_energy_per_node",
     "SfcarError",
-    "SfcarParams",
-    "signal_power",
-    "spectral_density",
     "sweep",
     "SweepRow",
     "TorusSpec",

@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 invalid input, 3 no feasible density.
 import argparse
 import json
 import math
+import os
 import sys
 
 from sfcar.correlation import PhysicalEnvironment, edge_correlation, zeta_of_rho
@@ -27,7 +28,7 @@ from sfcar.density import (
     optimize,
     sweep,
 )
-from sfcar.errors import DivergenceError, DomainError, NoFeasibleDensityError
+from sfcar.errors import DomainError, NoFeasibleDensityError
 from sfcar.network import EnergyModel
 from sfcar.rates import InfoRates, info_rates
 
@@ -67,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             args = _apply_config_file(parser, argv, args)
         return args.handler(args)
-    except (DomainError, DivergenceError, ValueError) as exc:
+    except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except NoFeasibleDensityError as exc:
@@ -292,6 +293,10 @@ def torus_rates(zeta: float, snr: float, spec) -> InfoRates:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    # kernels.rate_sums keeps its BLAS products on one thread, so a second
+    # OpenBLAS thread only costs its start-up.  Set before NumPy loads; a
+    # value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from sfcar.lattice import TorusSpec
 
     _require(args, "zeta", "snr_db", "N")

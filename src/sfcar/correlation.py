@@ -8,32 +8,43 @@ correlation when its edge dependence factor zeta satisfies
     rho = ((2/pi) K(4 zeta) - 1) / (4 zeta (2/pi) K(4 zeta)),
 
 which maps zeta = 0 to rho = 0 and zeta = 1/4 to rho = 1 and is strictly
-increasing in between.  The map has no closed-form inverse; it is
-inverted by bisection.
+increasing in between.  With k = 4 zeta this is rho = (1 - pi/(2K))/k,
+which one AGM sums from positive terms (special.elliptic_agm).  The map
+has no closed-form inverse; it is inverted by Newton's method, with
+dK/dk = (E - k'^2 K)/(k k'^2) from the same AGM, inside a bracket that
+falls back to bisection: in zeta below zeta = 1/8, and above it in
+u = log(delta), delta = 1 - 4 zeta = 1 - k, in which
+1/(1 - rho) ~ (2/pi) K ~ (2/pi) log(4/k') is nearly linear.
 
 Precision note: near the upper endpoint zeta grows toward 1/4 only
-double-exponentially slowly in rho (1 - rho ~ (pi/2)/K(4 zeta), with K
-logarithmic in 1/4 - zeta), so the largest edge correlation attainable
-at a double below 1/4 is rho ~ 0.919.  Inputs above that resolve to the
-endpoint; round trips through the inverse are exact to 1e-10 in rho only
-for rho <~ 0.8, while round trips in zeta are accurate over all of
-[0, 1/4].
+double-exponentially slowly in rho (K is logarithmic in delta), so
+1/4 - delta/4 rounds to 1/4 once delta <= 2^-54, that is from
+rho ~ 0.9205 (n = 344 on the paper scenario); zeta_of_rho returns 1/4
+there and only there.  Round trips through the inverse are exact to
+1e-10 in rho only for rho <~ 0.8, while round trips in zeta are accurate
+over all of [0, 1/4].
 """
 
 import math
 from dataclasses import dataclass
 
 from sfcar.errors import DomainError
-from sfcar.special import bessel_k1, complete_elliptic_k
+# Nothing here calls complete_elliptic_k; sfcarbench's tracer wraps it
+# under this module's name.
+from sfcar.special import bessel_k1, complete_elliptic_k, elliptic_agm  # noqa: F401
 
 # Below this, rho = zeta + 5 zeta^3 and zeta = rho - 5 rho^3 are exact to
 # the next terms, 44 zeta^5 and 31 rho^5: under 5e-15 relative.
 _SERIES_CUTOFF = 1e-4
-# Below this, (2/pi) K(4 zeta) - 1 ~ 4 zeta^2 is summed from its power
-# series (at most 15 terms); above it, subtracting 1 from the closed form
-# loses up to 2e-14 relative.
-_CNORM_SERIES_CUTOFF = 1.0 / 16.0
 _NEGATIVE_CLAMP = -1e-13
+# The largest delta = 1 - 4 zeta for which 1/4 - delta/4 rounds to 1/4
+# (a tie, which rounds to the even 1/4).
+_SATURATION_DELTA = 2.0**-54
+# Newton stops once a step is this small relative to the iterate; the
+# error left after it is of the order of its square.
+_NEWTON_TOL = 1e-9
+# Enough for bisection alone to meet the tolerance from either bracket.
+_MAX_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -74,9 +85,7 @@ def rho_of_zeta(zeta: float) -> float:
 
     Endpoints are exact by continuous extension: rho(0) = 0 and
     rho(1/4) = 1.  For zeta below 1e-4 the series zeta + 5 zeta^3 is
-    returned; above, the numerator (2/pi) K(4 zeta) - 1 is summed from
-    its power series up to zeta = 1/16, where the closed form would
-    cancel.
+    returned; above, (1 - pi/(2 K(4 zeta))) / (4 zeta) from one AGM.
     """
     if not 0.0 <= zeta <= 0.25:
         raise DomainError(f"zeta must lie in [0, 1/4], got {zeta!r}")
@@ -86,51 +95,80 @@ def rho_of_zeta(zeta: float) -> float:
         return 1.0
     if zeta < _SERIES_CUTOFF:
         return zeta + 5.0 * zeta**3
-    cm1 = _cnorm_minus_one(zeta)
-    return cm1 / (4.0 * zeta * (1.0 + cm1))
+    k = 4.0 * zeta
+    return elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[2]
 
 
-def _cnorm_minus_one(zeta: float) -> float:
-    # (2/pi) K(4 zeta) - 1 = sum_{m>=1} ((2m-1)!! / (2m)!!)^2 (4 zeta)^(2m)
-    if zeta >= _CNORM_SERIES_CUTOFF:
-        return (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta) - 1.0
-    k2 = 16.0 * zeta * zeta
-    term = total = 0.25 * k2
-    j = 1
-    while term > 1e-17 * total:
-        term *= ((2 * j + 1) / (2 * j + 2)) ** 2 * k2
-        total += term
-        j += 1
-    return total
+def _rho_and_slope(k: float, kc: float) -> tuple[float, float]:
+    """rho and d rho / dk at modulus k = 4 zeta, kc = sqrt(1 - k^2).
+
+    With c = (2/pi) K, rho = (1 - 1/c)/k, so d rho/dk = (c'/c^2 - rho)/k,
+    and c'/c^2 = (pi/2) (E - kc^2 K) / (K^2 k kc^2).
+    """
+    big_k, big_e, rho = elliptic_agm(k, kc)
+    dc = 0.5 * math.pi * (big_e - kc * kc * big_k) / (big_k * big_k * k * kc * kc)
+    return rho, (dc - rho) / k
+
+
+# rho at zeta = 1/8, where the solver changes variable, and at the
+# saturation delta, from which zeta rounds to 1/4.
+_RHO_EIGHTH = rho_of_zeta(0.125)
+_RHO_SATURATED = elliptic_agm(
+    1.0 - _SATURATION_DELTA, math.sqrt(_SATURATION_DELTA * (2.0 - _SATURATION_DELTA))
+)[2]
 
 
 def zeta_of_rho(rho: float) -> float:
     """Edge dependence factor reproducing edge correlation rho.
 
-    Numerical inverse of rho_of_zeta by bisection on [0, 1/4]; the map is
-    strictly increasing, so bisection is unconditionally robust even
-    against the logarithmically diverging elliptic integral at the top.
+    Safeguarded Newton on rho_of_zeta(zeta) = rho: in zeta for
+    rho < rho(1/8), from the series start rho - 5 rho^3; above, in
+    u = log(1 - 4 zeta) from delta_0 = 8 exp(-pi/(1 - rho)), the limit
+    of K ~ log(4/k') as delta -> 0.  Each step stays inside the bracket
+    its residuals have established, and bisects it otherwise.  Returns
+    exactly 1/4 where 1/4 - delta/4 rounds to 1/4.
     """
     if _NEGATIVE_CLAMP <= rho < 0.0:
         rho = 0.0
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho must lie in [0, 1], got {rho!r}")
-    if rho == 0.0:
-        return 0.0
-    if rho == 1.0:
-        return 0.25
     if rho < _SERIES_CUTOFF:
         return rho - 5.0 * rho**3
-    lo, hi = 0.0, 0.25
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if rho_of_zeta(mid) < rho:
-            lo = mid
+    if rho >= _RHO_SATURATED:
+        return 0.25
+    in_zeta = rho < _RHO_EIGHTH
+    if in_zeta:
+        lo, hi, x = 0.0, 0.125, rho - 5.0 * rho**3
+    else:
+        # The root has delta <= 1/2; the bracket reaches to delta = 3/4 so
+        # that the first step, which overshoots from delta_0 (below the
+        # root), stays inside it when the root is near 1/2.
+        lo, hi = math.log(_SATURATION_DELTA), math.log(0.75)
+        x = max(math.log(8.0) - math.pi / (1.0 - rho), lo)
+    for _ in range(_MAX_STEPS):
+        if in_zeta:
+            k = 4.0 * x
+            value, slope = _rho_and_slope(k, math.sqrt((1.0 - k) * (1.0 + k)))
+            slope *= 4.0
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            delta = math.exp(x)
+            value, slope = _rho_and_slope(1.0 - delta, math.sqrt(delta * (2.0 - delta)))
+            slope *= -delta
+        residual = value - rho
+        if residual == 0.0:
+            break
+        if (residual > 0.0) == (slope > 0.0):
+            hi = x
+        else:
+            lo = x
+        nxt = x - residual / slope
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        converged = abs(nxt - x) <= _NEWTON_TOL * abs(x)
+        x = nxt
+        if converged:
+            break
+    return x if in_zeta else 0.25 - 0.25 * math.exp(x)
 
 
 def zeta_of_spacing(env: PhysicalEnvironment, spacing: float) -> float:

@@ -1,20 +1,21 @@
 """Independent numerical oracles used across the test suite.
 
 Each oracle evaluates a defining integral, root or brute-force sum with
-SciPy's special functions, adaptive quadrature and root finding or with
-plain enumeration; `spectral_ratio` writes out the spectral ratio in
-NumPy.  Nothing here imports sfcar: the oracles share no code
-path with the library implementations they check.
+SciPy's special functions, adaptive quadrature and root finding, with
+40-digit decimal arithmetic or with plain enumeration; `spectral_ratio`
+writes out the spectral ratio in NumPy.  Nothing here imports sfcar: the
+oracles share no code path with the library implementations they check.
 """
 
 import math
 import sys
+from decimal import Decimal, localcontext
 from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
-from scipy.special import ellipkm1, k1
+from scipy.special import ellipe, ellipk, ellipkm1, k1
 
 
 def ellipk_integral(k: float) -> float:
@@ -46,20 +47,24 @@ def bessel_k1_integral(x: float) -> float:
     return val
 
 
+def spectral_density(zeta: float, kappa: float, omega1: float, omega2: float) -> float:
+    """Power spectral density 1 / (4 pi^2 kappa (1 - 2 zeta (cos w1 + cos w2)))
+    of the SFCAR field with conditional precision kappa."""
+    return 1.0 / (
+        4.0 * math.pi**2 * kappa * (1.0 - 2.0 * zeta * (math.cos(omega1) + math.cos(omega2)))
+    )
+
+
 def spectral_density_dblquad(zeta: float, kappa: float) -> float:
-    """Integral of the spectral density over the full frequency square,
-    written out from the density formula (no library calls)."""
-
-    def f(w2: float, w1: float) -> float:
-        return 1.0 / (
-            4.0
-            * math.pi**2
-            * kappa
-            * (1.0 - 2.0 * zeta * (math.cos(w1) + math.cos(w2)))
-        )
-
+    """Integral of the spectral density over the full frequency square."""
     val, _ = dblquad(
-        f, -math.pi, math.pi, -math.pi, math.pi, epsabs=0.0, epsrel=1e-10
+        lambda w2, w1: spectral_density(zeta, kappa, w1, w2),
+        -math.pi,
+        math.pi,
+        -math.pi,
+        math.pi,
+        epsabs=0.0,
+        epsrel=1e-10,
     )
     return val
 
@@ -97,20 +102,25 @@ def brute_hop_sum(n: int) -> int:
 KLI_EPSREL = 1e-12
 
 
+def _k_series(m: float) -> float:
+    # (2/pi) K - 1 at parameter m = k^2 from its power series
+    # sum_{j>=1} ((2j-1)!!/(2j)!!)^2 m^j, a sum of positive terms.
+    term, total, j = 1.0, 0.0, 0
+    while True:
+        term *= ((2 * j + 1) / (2 * j + 2)) ** 2 * m
+        total += term
+        if term <= 1e-17 * total:
+            return total
+        j += 1
+
+
 def _cnorm_minus_one(zeta: float) -> float:
-    # (2/pi) K(4 zeta) - 1.  Below zeta = 1/8 it is summed from the series
-    # sum_m ((2m-1)!!/(2m)!!)^2 (4 zeta)^(2m), which avoids the cancellation
-    # of 1 against (2/pi) K near zeta = 0; above, SciPy's ellipkm1 takes the
-    # complementary parameter 1 - 16 zeta^2 without rounding it.
+    # (2/pi) K(4 zeta) - 1.  Below zeta = 1/8 it is summed from the series,
+    # which avoids the cancellation of 1 against (2/pi) K near zeta = 0;
+    # above, SciPy's ellipkm1 takes the complementary parameter
+    # 1 - 16 zeta^2 without rounding it.
     if zeta < 0.125:
-        m = 16.0 * zeta * zeta
-        term, total, j = 1.0, 0.0, 0
-        while True:
-            term *= ((2 * j + 1) / (2 * j + 2)) ** 2 * m
-            total += term
-            if term <= 1e-17 * total:
-                return total
-            j += 1
+        return _k_series(16.0 * zeta * zeta)
     return (2.0 / math.pi) * ellipkm1((1.0 - 4.0 * zeta) * (1.0 + 4.0 * zeta)) - 1.0
 
 
@@ -136,6 +146,96 @@ def zeta_of_rho_brent(rho: float) -> float:
         rtol=4.0 * sys.float_info.epsilon,
         maxiter=500,
     )
+
+
+def zeta_of_rho_decimal(rho: float) -> float:
+    """zeta(rho) for 0 < rho <= rho(1/8), correctly rounded.
+
+    Secant iteration in 40-digit decimal arithmetic on
+    rho = s / (4 zeta (1 + s)), where s = (2/pi) K(4 zeta) - 1 is the
+    power series sum_{m>=1} ((2m-1)!!/(2m)!!)^2 (4 zeta)^(2m), whose terms
+    fall at least as fast as 4^-m for zeta <= 1/8.  A double-precision
+    root of the same map is uncertain by a few ulps of zeta.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        target = Decimal(rho)
+
+        def residual(z: Decimal) -> Decimal:
+            m = 16 * z * z
+            term, total, j = Decimal(1), Decimal(0), 0
+            while True:
+                term *= (Decimal(2 * j + 1) / (2 * j + 2)) ** 2 * m
+                total += term
+                if term < total * Decimal("1e-42"):
+                    return total / (4 * z * (1 + total)) - target
+                j += 1
+
+        z0, z1 = target - 5 * target**3, target
+        f0, f1 = residual(z0), residual(z1)
+        for _ in range(50):
+            if f1 == f0 or abs(z1 - z0) <= z1 * Decimal("1e-36"):
+                break
+            z0, z1 = z1, z1 - f1 * (z1 - z0) / (f1 - f0)
+            f0, f1 = f1, residual(z1)
+        return float(z1)
+
+
+def _rho_of_delta(delta: float) -> float:
+    # rho = (c - 1) / ((1 - delta) c), c = (2/pi) K(k), k = 1 - delta,
+    # k'^2 = delta (2 - delta).  From delta = 1/64 up, where c - 1 < 1, it
+    # takes one descending Landen step, K(k) = (1 + k1) K(k1) with
+    # k1 = (k / (1 + k'))^2, and the series of (2/pi) K(k1) - 1, so that
+    # no term cancels; below, SciPy's ellipkm1, where c - 1 >= 0.99.
+    p = delta * (2.0 - delta)
+    if delta < 1.0 / 64.0:
+        cm1 = (2.0 / math.pi) * ellipkm1(p) - 1.0
+    else:
+        k1 = ((1.0 - delta) / (1.0 + math.sqrt(p))) ** 2
+        cm1 = k1 + (1.0 + k1) * _k_series(k1 * k1)
+    return cm1 / ((1.0 - delta) * (1.0 + cm1))
+
+
+def delta_of_rho(rho: float) -> float:
+    """delta = 1 - 4 zeta of the SFCAR field with edge correlation rho,
+    for rho(1/8) <= rho <= 0.995: Brent's method on log(delta) in
+    [log(1e-300), log(1/2)] against rho(delta) with K from SciPy's
+    ellipkm1(delta (2 - delta)) (or a Landen step and a power series
+    where c - 1 < 1).  1/4 - delta/4 then lies within 2 ulps of zeta
+    (measured against 40-digit values)."""
+    u = brentq(
+        lambda u: _rho_of_delta(math.exp(u)) - rho,
+        math.log(1e-300),
+        math.log(0.5),
+        xtol=1e-300,
+        rtol=4.0 * sys.float_info.epsilon,
+        maxiter=500,
+    )
+    return math.exp(u)
+
+
+def low_snr_kli(zeta: float, snr: float) -> float:
+    """Per-node KL rate to second order in the SNR,
+
+        (snr^2/4) <1/(cD)^2> - (snr^3/3) <1/(cD)^3>,
+
+    with D = 1 - 2 zeta (cos w1 + cos w2), c = (2/pi) K(k) and k = 4 zeta.
+    The averages follow from the lattice Green's function
+    <1/(lam - 2 zeta (cos w1 + cos w2))> = (2/(pi lam)) K(4 zeta/lam)
+    (Gradshteyn & Ryzhik 8.123; Morita, J. Math. Phys. 12, 1744 (1971))
+    by differentiating in lam at lam = 1: <1/D^2> = (2/pi) E/(1 - k^2)
+    and <1/D^3> = (2E - (K - E)(1 - k^2)) / (pi (1 - k^2)^2), with
+    SciPy's ellipkm1 and ellipe.  The first omitted term is
+    (3/8) <s^4> for s = snr/(cD), under 1.5 s_max^2 of the rate with
+    s_max = snr / (c (1 - 4 zeta)).
+    """
+    p = (1.0 - 4.0 * zeta) * (1.0 + 4.0 * zeta)  # 1 - k^2
+    big_k = ellipkm1(p) if zeta >= 0.125 else ellipk(16.0 * zeta * zeta)
+    big_e = ellipe(16.0 * zeta * zeta)
+    c = (2.0 / math.pi) * big_k
+    mean_d2 = (2.0 / math.pi) * big_e / p
+    mean_d3 = (2.0 * big_e - (big_k - big_e) * p) / (math.pi * p * p)
+    return snr**2 / 4.0 * mean_d2 / c**2 - snr**3 / 3.0 * mean_d3 / c**3
 
 
 def _log1p_minus_x(x: float) -> float:
@@ -242,7 +342,7 @@ def chain_total_kli(
     Spacing d = L/n, rho = alpha d K_1(alpha d), communication energy
     E0 d^nu per hop summed over every node's |i| + |j| hops, sensing
     energy (E - that) / (2n+1)^2, SNR = beta E_s and total (2n+1)^2 kli.
-    The total is None when rho > rho_max: near rho ~ 0.92 zeta reaches
+    The total is None when rho > rho_max: near rho ~ 0.9205 zeta reaches
     the last double below 1/4 and no longer resolves rho.
     """
     d = half_width / n

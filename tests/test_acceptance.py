@@ -232,7 +232,7 @@ def test_criterion_09_hop_count_identity():
 # the chain does give sits near n ~ 150 (rho ~ 0.76, SNR ~ 1e-3), which the
 # E = 50 budget cannot reach (its feasibility boundary is n = 124).
 # Rows with rho > 0.9 are not compared: zeta is documented to resolve to 1/4
-# above rho ~ 0.919, and both sides lose digits of 1/4 - zeta before that.
+# above rho ~ 0.9205, and both sides lose digits of 1/4 - zeta before that.
 CHAIN_RHO_MAX = 0.9
 
 

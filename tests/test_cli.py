@@ -309,6 +309,33 @@ print(json.dumps(seen))
         with pytest.raises(AttributeError):
             sfcar.no_such_name  # noqa: B018
 
+    # validate sets OPENBLAS_NUM_THREADS=1 for its own process before NumPy
+    # loads, unless the user set it; importing the library sets nothing
+    BLAS_SCRIPT = """
+import contextlib, io, json, os
+import sfcar, sfcar.cli
+seen = {"after_import": os.environ.get("OPENBLAS_NUM_THREADS")}
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["validate"] = sfcar.cli.main(["validate", "--zeta", "0.2", "--snr-db", "0", "--N", "8"])
+seen["after_validate"] = os.environ.get("OPENBLAS_NUM_THREADS")
+print(json.dumps(seen))
+"""
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_validate_keeps_openblas_to_one_thread(self, preset):
+        env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        done = subprocess.run(
+            [sys.executable, "-c", self.BLAS_SCRIPT],
+            capture_output=True, text=True, env=env, check=False, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {
+            "after_import": preset, "validate": 0, "after_validate": preset or "1",
+        }
+
 
 class TestConfigFile:
     def test_file_supplies_values(self, capsys, tmp_path):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import sfcar.correlation
 from sfcar.correlation import (
     PhysicalEnvironment,
     edge_correlation,
@@ -10,7 +13,13 @@ from sfcar.correlation import (
 )
 from sfcar.errors import DomainError
 
-from oracles import bessel_k1_integral, rho_of_zeta_elliptic, zeta_of_rho_brent
+from oracles import (
+    bessel_k1_integral,
+    delta_of_rho,
+    rho_of_zeta_elliptic,
+    zeta_of_rho_brent,
+    zeta_of_rho_decimal,
+)
 
 ENV = PhysicalEnvironment(alpha=100.0)
 
@@ -65,8 +74,6 @@ class TestRhoOfZeta:
         assert rho_of_zeta(0.25) == 1.0
 
     def test_midpoint_against_elliptic_oracle(self):
-        import math
-
         from oracles import ellipk_integral
 
         c = (2.0 / math.pi) * ellipk_integral(0.5)
@@ -122,6 +129,60 @@ class TestZetaOfRho:
             assert back == pytest.approx(float(z), abs=1e-10)
 
 
+# rho at zeta = 1/8 (k = 1/2), where the solver changes variable, from
+# the elliptic integral oracle.
+RHO_EIGHTH = rho_of_zeta_elliptic(0.125)
+# 520 edge correlations from the series cutoff to beyond the paper rows'
+# largest (0.955), so past the saturation at rho ~ 0.9205.
+SOLVER_GRID = [float(r) for r in np.linspace(1e-4, 0.955, 520)]
+
+
+class TestSolver:
+    def test_within_four_ulps_of_oracles(self):
+        # Below rho(1/8) against the 40-digit decimal root, correctly
+        # rounded; above, against 1/4 - delta/4 from SciPy's delta.  A
+        # delta near 1 would fix zeta only to ulp(delta)/4, 2,000 ulps of
+        # zeta at rho = 1e-4, so the lower range is checked in zeta.
+        worst = 0.0
+        for rho in SOLVER_GRID:
+            if rho < RHO_EIGHTH:
+                expected = zeta_of_rho_decimal(rho)
+            else:
+                expected = 0.25 - delta_of_rho(rho) / 4.0
+            got = zeta_of_rho(rho)
+            assert (got == 0.25) == (expected == 0.25), rho
+            worst = max(worst, abs(got - expected) / math.ulp(expected))
+        assert worst <= 4.0
+
+    def test_saturates_exactly_where_zeta_rounds_to_quarter(self):
+        # 1/4 - delta/4 rounds to 1/4 once delta <= 2^-54: from rho ~ 0.9205
+        grid = [float(r) for r in np.linspace(0.9200, 0.9210, 201)]
+        for rho in grid:
+            expected = 0.25 - delta_of_rho(rho) / 4.0
+            assert (zeta_of_rho(rho) == 0.25) == (expected == 0.25), rho
+        assert zeta_of_rho(grid[0]) < 0.25 == zeta_of_rho(grid[-1])
+
+    def test_stops_at_tolerance(self, monkeypatch):
+        # Newton from a close start, not a fixed count of bisections: at
+        # most 8 AGM evaluations a call, 4 on average
+        calls = []
+        agm = sfcar.correlation.elliptic_agm
+
+        def counted(k, kc):
+            calls.append(k)
+            return agm(k, kc)
+
+        monkeypatch.setattr(sfcar.correlation, "elliptic_agm", counted)
+        counts = []
+        # the grid, and roots just below delta = 1/2, where log(delta) begins
+        for rho in SOLVER_GRID + [RHO_EIGHTH, 0.13639, 0.1364, 0.137, 0.14]:
+            calls.clear()
+            zeta_of_rho(rho)
+            counts.append(len(calls))
+        assert max(counts) <= 8
+        assert sum(counts) / len(counts) <= 4.0
+
+
 # Around the series cutoff (1e-4) and where the closed form would cancel.
 SMALL_ARGUMENTS = [1e-6, 9.9e-5, 1.0001e-4, 3e-4, 1e-3, 1e-2]
 
@@ -150,7 +211,7 @@ class TestZetaOfSpacing:
 
     def test_strictly_decreasing(self):
         # Strict decrease holds wherever zeta is representable below 1/4;
-        # closer contact saturates at the endpoint (rho above ~0.919 maps
+        # closer contact saturates at the endpoint (rho above ~0.9205 maps
         # into the ulp gap below 1/4).
         spacings = np.logspace(-2.2, -1, 120)
         values = [zeta_of_spacing(ENV, float(d)) for d in spacings]

@@ -133,6 +133,16 @@ class TestSweep:
         cfg = paper_scenario(n_min=1, n_max=30)
         assert sweep(cfg) == sweep(cfg)
 
+    def test_unsaturated_rows_report_information(self):
+        # A row reports zero KLI only where zeta itself rounds to 1/4: from
+        # n = 344 at E = 200 (rho ~ 0.9205), where the bisection used to
+        # saturate from n = 340
+        rows = [r for r in sweep(paper_scenario(200.0)) if r.feasible]
+        unsaturated = [r for r in rows if r.zeta < 0.25 and r.snr > 0.0]
+        assert all(r.kli_rate > 0.0 and r.total_kli > 0.0 for r in unsaturated)
+        assert max(r.n for r in unsaturated) == 343
+        assert min(r.n for r in rows if r.zeta == 0.25) == 344
+
 
 class TestOptimize:
     def test_single_feasible(self):

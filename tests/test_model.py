@@ -1,120 +1,88 @@
+"""The SFCAR field model: its spectral density and the spectral average
+(2/pi) K(4 zeta) / kappa, the per-site variance that normalizes the
+spectral ratio in sfcar.rates."""
+
 import math
 
 import numpy as np
 import pytest
 
-from sfcar.errors import DivergenceError, DomainError
-from sfcar.model import (
-    NoiseModel,
-    SfcarParams,
-    measurement_snr,
-    signal_power,
-    spectral_density,
-)
+from sfcar.errors import DomainError
+from sfcar.rates import _spectral_norm
+from sfcar.special import complete_elliptic_k
 
-from oracles import spectral_density_dblquad
+from oracles import spectral_density, spectral_density_dblquad
 
 
-class TestParams:
-    @pytest.mark.parametrize("kappa,zeta", [(0.0, 0.1), (-1.0, 0.1), (1.0, -0.01), (1.0, 0.26)])
-    def test_invalid(self, kappa, zeta):
-        with pytest.raises(DomainError):
-            SfcarParams(kappa=kappa, zeta=zeta)
-
-    def test_endpoints_allowed(self):
-        SfcarParams(kappa=1.0, zeta=0.0)
-        SfcarParams(kappa=1.0, zeta=0.25)
-
-    def test_noise_positive(self):
-        with pytest.raises(DomainError):
-            NoiseModel(sigma2=0.0)
+def signal_power(zeta: float, kappa: float) -> float:
+    # per-site variance of the field with conditional precision kappa
+    return _spectral_norm(zeta) / kappa
 
 
 class TestSpectralDensity:
     def test_white_field_is_flat(self):
-        p = SfcarParams(kappa=1.0, zeta=0.0)
         for w in (0.0, 1.0, math.pi):
-            assert spectral_density(p, w, -w) == pytest.approx(1.0 / (4 * math.pi**2))
+            assert spectral_density(0.0, 1.0, w, -w) == pytest.approx(1.0 / (4 * math.pi**2))
 
     def test_direct_substitution_at_origin(self):
-        p = SfcarParams(kappa=1.0, zeta=0.2)
-        assert spectral_density(p, 0.0, 0.0) == pytest.approx(5.0 / (4 * math.pi**2))
+        assert spectral_density(0.2, 1.0, 0.0, 0.0) == pytest.approx(5.0 / (4 * math.pi**2))
 
     def test_direct_substitution_at_corner(self):
-        p = SfcarParams(kappa=2.0, zeta=0.1)
-        assert spectral_density(p, math.pi, math.pi) == pytest.approx(
+        assert spectral_density(0.1, 2.0, math.pi, math.pi) == pytest.approx(
             1.0 / (8 * math.pi**2 * 1.4)
         )
 
     def test_symmetries(self):
-        p = SfcarParams(kappa=1.5, zeta=0.22)
         for w1, w2 in [(0.3, 1.1), (2.0, -0.7)]:
-            ref = spectral_density(p, w1, w2)
-            assert spectral_density(p, -w1, -w2) == pytest.approx(ref, rel=1e-15)
-            assert spectral_density(p, w2, w1) == pytest.approx(ref, rel=1e-15)
+            ref = spectral_density(0.22, 1.5, w1, w2)
+            assert spectral_density(0.22, 1.5, -w1, -w2) == pytest.approx(ref, rel=1e-15)
+            assert spectral_density(0.22, 1.5, w2, w1) == pytest.approx(ref, rel=1e-15)
 
     def test_extrema_at_origin_and_corner(self):
-        p = SfcarParams(kappa=1.0, zeta=0.15)
         grid = np.linspace(-math.pi, math.pi, 41)
-        values = [spectral_density(p, float(a), float(b)) for a in grid for b in grid]
-        assert max(values) == pytest.approx(spectral_density(p, 0.0, 0.0))
-        assert min(values) == pytest.approx(spectral_density(p, math.pi, math.pi))
+        values = [spectral_density(0.15, 1.0, float(a), float(b)) for a in grid for b in grid]
+        assert max(values) == pytest.approx(spectral_density(0.15, 1.0, 0.0, 0.0))
+        assert min(values) == pytest.approx(spectral_density(0.15, 1.0, math.pi, math.pi))
 
     def test_singularity_at_perfect_correlation(self):
-        p = SfcarParams(kappa=1.0, zeta=0.25)
-        with pytest.raises(DivergenceError):
-            spectral_density(p, 0.0, 0.0)
-        assert spectral_density(p, math.pi, math.pi) > 0.0
+        with pytest.raises(ZeroDivisionError):
+            spectral_density(0.25, 1.0, 0.0, 0.0)
+        assert spectral_density(0.25, 1.0, math.pi, math.pi) > 0.0
 
 
 class TestSignalPower:
     def test_white_unit_precision(self):
-        assert signal_power(SfcarParams(kappa=1.0, zeta=0.0)) == pytest.approx(1.0)
+        assert signal_power(0.0, 1.0) == pytest.approx(1.0)
 
     def test_white_scales_as_inverse_precision(self):
-        assert signal_power(SfcarParams(kappa=4.0, zeta=0.0)) == pytest.approx(0.25)
+        assert signal_power(0.0, 4.0) == pytest.approx(0.25)
 
     def test_matches_density_integral(self):
-        p = SfcarParams(kappa=1.0, zeta=0.2)
         oracle = spectral_density_dblquad(0.2, 1.0)
-        assert signal_power(p) == pytest.approx(oracle, abs=1e-8)
+        assert signal_power(0.2, 1.0) == pytest.approx(oracle, abs=1e-8)
 
     def test_diverges_at_endpoint(self):
-        with pytest.raises(DivergenceError):
-            signal_power(SfcarParams(kappa=1.0, zeta=0.25))
+        with pytest.raises(DomainError):
+            signal_power(0.25, 1.0)
 
     def test_monotone_in_zeta_and_kappa(self):
-        powers = [signal_power(SfcarParams(1.0, float(z))) for z in np.linspace(0, 0.24, 30)]
+        powers = [signal_power(float(z), 1.0) for z in np.linspace(0, 0.24, 30)]
         assert all(b > a for a, b in zip(powers, powers[1:]))
-        powers = [signal_power(SfcarParams(float(k), 0.1)) for k in np.linspace(0.5, 5, 30)]
+        powers = [signal_power(0.1, float(k)) for k in np.linspace(0.5, 5, 30)]
         assert all(b < a for a, b in zip(powers, powers[1:]))
 
 
 class TestMeasurementSnr:
-    def test_zero_db(self):
-        p = SfcarParams(kappa=1.0, zeta=0.0)
-        assert measurement_snr(p, NoiseModel(1.0)) == pytest.approx(1.0)
-
-    def test_ten_db(self):
-        p = SfcarParams(kappa=1.0, zeta=0.0)
-        assert measurement_snr(p, NoiseModel(0.1)) == pytest.approx(10.0)
-
     def test_derived_from_quadrature(self):
-        p = SfcarParams(kappa=2.0, zeta=0.15)
+        # against noise of variance 0.5, the SNR is the spectral average over 0.5
         oracle = spectral_density_dblquad(0.15, 2.0)
-        assert measurement_snr(p, NoiseModel(0.5)) == pytest.approx(oracle / 0.5, rel=1e-8)
-
-    def test_propagates_divergence(self):
-        with pytest.raises(DivergenceError):
-            measurement_snr(SfcarParams(1.0, 0.25), NoiseModel(1.0))
+        assert signal_power(0.15, 2.0) / 0.5 == pytest.approx(oracle / 0.5, rel=1e-8)
 
 
 def test_normalization_identity():
     # integral of dw / (1 - 2 zeta (cos w1 + cos w2)) over the square equals
     # 4 pi^2 (2/pi) K(4 zeta): the identity behind the SNR separation.
-    from sfcar.special import complete_elliptic_k
-
     for zeta in (0.05, 0.15, 0.24):
-        oracle = spectral_density_dblquad(zeta, 1.0)  # = (2/pi) K(4 zeta) / ... kappa=1
+        oracle = spectral_density_dblquad(zeta, 1.0)
         expected = 2.0 * complete_elliptic_k(4.0 * zeta) / math.pi
         assert oracle == pytest.approx(expected, abs=1e-8)

@@ -18,7 +18,14 @@ from sfcar.rates import (
 )
 from sfcar.special import complete_elliptic_k
 
-from oracles import _log1p_minus_x, ellipk_integral, kli_rate_1d, mi_rate_1d, spectral_ratio
+from oracles import (
+    _log1p_minus_x,
+    ellipk_integral,
+    kli_rate_1d,
+    low_snr_kli,
+    mi_rate_1d,
+    spectral_ratio,
+)
 
 
 def closed_form_kli(snr: float) -> float:
@@ -90,6 +97,23 @@ class TestLowSnrAccuracy:
         else:
             expected = kli_rate_1d(zeta, snr)
         assert kli_rate(zeta, snr) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+
+class TestLowSnrExpansion:
+    # Against the closed-form expansion to SNR^3 in K and E, an oracle that
+    # shares no quadrature with the rule.  Points are kept where
+    # s_max = snr / (c delta) <= 2e-6, so that the omitted term, under
+    # 1.5 s_max^2 of the rate, stays below 6e-12; at s_max = 1e-3 it is
+    # 5e-7 (zeta = 0.249).
+    @pytest.mark.parametrize("snr", [1e-9, 1e-8, 1e-7, 1e-6])
+    def test_kli_matches_two_term_expansion(self, snr):
+        checked = 0
+        for zeta in (0.0, 0.05, 0.1, 0.15, 0.2, 0.24, 0.249, 0.2499):
+            if snr / (_spectral_norm(zeta) * (1.0 - 4.0 * zeta)) > 2e-6:
+                continue
+            assert kli_rate(zeta, snr) == pytest.approx(low_snr_kli(zeta, snr), rel=1e-10, abs=0.0)
+            checked += 1
+        assert checked >= 3
 
 
 class TestAgainstTorus:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcar.errors import DomainError
-from sfcar.special import bessel_k1, complete_elliptic_k
+from scipy.special import ellipe
+from sfcar.special import bessel_k1, complete_elliptic_e, complete_elliptic_k, elliptic_agm
 
 from oracles import bessel_k1_integral, ellipk_integral
 
@@ -54,6 +55,58 @@ class TestEllipticK:
     @settings(max_examples=50, deadline=None)
     def test_monotone_pairs(self, k):
         assert complete_elliptic_k(k + 1e-3) > complete_elliptic_k(k)
+
+
+class TestEllipticE:
+    def test_endpoints(self):
+        assert complete_elliptic_e(0.0) == math.pi / 2.0
+        assert complete_elliptic_e(1.0) == 1.0
+
+    @pytest.mark.parametrize("bad", [-1e-12, -0.5, 1.0000000000000002, 1.5])
+    def test_domain_errors(self, bad):
+        with pytest.raises(DomainError):
+            complete_elliptic_e(bad)
+
+    def test_against_scipy(self):
+        # k from its complement k' = 1e-15 .. 1; below k' ~ 1.5e-8, k
+        # rounds to 1.  E/K is a difference that loses up to ~log10(K)
+        # digits as k -> 1 (measured worst 4.7e-15).
+        for kc in np.logspace(-15, 0, 300):
+            k = math.sqrt((1.0 - kc) * (1.0 + kc))
+            assert complete_elliptic_e(k) == pytest.approx(ellipe(k * k), rel=1e-14, abs=0.0)
+
+    def test_strictly_decreasing(self):
+        values = [complete_elliptic_e(float(k)) for k in np.linspace(0.0, 1.0, 400)]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+
+class TestEllipticAgm:
+    # K, E and (1 - pi/(2K))/k from one AGM driven by the complementary modulus
+    @pytest.mark.parametrize("k", [0.0, 1e-3, 0.5, 0.9, 0.999999])
+    def test_matches_single_integrals(self, k):
+        kc = math.sqrt((1.0 - k) * (1.0 + k))
+        big_k, big_e, deficit = elliptic_agm(k, kc)
+        assert big_k == pytest.approx(complete_elliptic_k(k), rel=1e-15)
+        assert big_e == pytest.approx(ellipe(k * k), rel=1e-14)
+        if k == 0.0:
+            assert deficit == 0.0
+        else:
+            expected = (1.0 - math.pi / (2.0 * ellipk_integral(k))) / k
+            assert deficit == pytest.approx(expected, rel=1e-12)
+
+    def test_complement_carries_precision(self):
+        # k = 1 - delta rounds; k' = sqrt(delta (2 - delta)) does not: K
+        # follows log(4/k') down to delta = 2^-54
+        delta = 2.0**-54
+        big_k, _, deficit = elliptic_agm(1.0 - delta, math.sqrt(delta * (2.0 - delta)))
+        assert big_k == pytest.approx(math.log(4.0 / math.sqrt(2.0 * delta)), rel=1e-15)
+        assert deficit == pytest.approx(1.0 - math.pi / (2.0 * big_k), rel=1e-15)
+
+    def test_small_modulus_deficit(self):
+        # (1 - pi/(2K))/k = k/4 + 5 k^3/64 + O(k^5): summed, not cancelled
+        for k in (1e-8, 1e-5, 1e-3):
+            _, _, deficit = elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))
+            assert deficit == pytest.approx(k / 4.0 + 5.0 * k**3 / 64.0, rel=1e-14)
 
 
 class TestBesselK1:
