@@ -14,10 +14,10 @@ Exit codes: 0 success, 2 invalid input, 3 no feasible density.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 
 from sfcar.correlation import PhysicalEnvironment, edge_correlation, zeta_of_rho
 from sfcar.density import (
@@ -35,21 +35,6 @@ from sfcar.rates import InfoRates, info_rates
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_FEASIBLE = 3
-
-SWEEP_FIELDS = [
-    "n",
-    "mu_n",
-    "d_n",
-    "rho",
-    "zeta",
-    "e_s",
-    "snr",
-    "kli_rate",
-    "mi_rate",
-    "total_kli",
-    "total_mi",
-    "feasible",
-]
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -145,6 +130,8 @@ def _apply_config_file(
 ) -> argparse.Namespace:
     # The file's values are parsed as flags placed before the command
     # line's own, so they pass the same checks and explicit flags win.
+    import json
+
     path = args.config
     try:
         with open(path, encoding="utf-8") as fh:
@@ -265,22 +252,18 @@ def _lattice_index(half_width: float, mu: float, flag: str) -> float:
     return n
 
 
-def _row_record(row: SweepRow) -> dict:
-    return {name: getattr(row, name) for name in SWEEP_FIELDS}
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep(_scenario_from_args(args))
-    _emit([_row_record(r) for r in rows], SWEEP_FIELDS, args)
+    _emit([r._asdict() for r in rows], SweepRow._fields, args)
     return EXIT_OK
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     config = _scenario_from_args(args)
     best = optimize(config)
-    record = _row_record(best)
+    record = best._asdict()
     record["objective"] = config.objective.value
-    _emit([record], SWEEP_FIELDS + ["objective"], args)
+    _emit([record], [*SweepRow._fields, "objective"], args)
     return EXIT_OK
 
 
@@ -334,8 +317,10 @@ def _format_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _emit(records: list[dict], fields: list[str], args: argparse.Namespace) -> None:
+def _emit(records: list[dict], fields: Sequence[str], args: argparse.Namespace) -> None:
     if args.format == "json":
+        import json
+
         text = json.dumps(records, indent=2) + "\n"
     else:
         lines = [",".join(fields)]
@@ -343,8 +328,11 @@ def _emit(records: list[dict], fields: list[str], args: argparse.Namespace) -> N
             lines.append(",".join(_format_cell(record[f]) for f in fields))
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"--output {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -26,9 +26,9 @@ over all of [0, 1/4].
 """
 
 import math
-from dataclasses import dataclass
 
 from sfcar.errors import DomainError
+from sfcar.records import record
 # Nothing here calls complete_elliptic_k; sfcarbench's tracer wraps it
 # under this module's name.
 from sfcar.special import bessel_k1, complete_elliptic_k, elliptic_agm  # noqa: F401
@@ -47,15 +47,15 @@ _NEWTON_TOL = 1e-9
 _MAX_STEPS = 60
 
 
-@dataclass(frozen=True)
-class PhysicalEnvironment:
+class PhysicalEnvironment(record("PhysicalEnvironment", "alpha")):
     """Continuous-world field parameters: diffusion rate alpha (1/length)."""
 
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < math.inf:
-            raise DomainError(f"alpha must be finite and > 0, got {self.alpha!r}")
+    def __new__(cls, alpha: float):
+        if not 0.0 < alpha < math.inf:
+            raise DomainError(f"alpha must be finite and > 0, got {alpha!r}")
+        return super().__new__(cls, alpha)
 
 
 def edge_correlation(env: PhysicalEnvironment, spacing: float) -> float:

@@ -15,9 +15,15 @@ where rho ~ 0.76 and SNR ~ 1e-3 (n = 157, 155, 152 at E = 100, 150,
 200).  It appears only when the budget reaches that density, E >= 100:
 at E = 50 communication exhausts the budget at n = 124 and total KLI
 has its single maximum at n = 2.
+
+At low SNR the sweep has a closed form.  Per node, KLI = (SNR^2/4) G +
+O(SNR^3) with G = (2/pi) E(4 zeta) / ((1 - 16 zeta^2) c^2) and
+c = (2/pi) K(4 zeta), so with N = (2n+1)^2 nodes sharing what the total
+communication energy C(n) leaves, total KLI ~ beta^2 (E - C(n))^2 G / (4N).
+As zeta -> 1/4, G grows like pi / (delta ln^2(8/delta)), delta = 1 - 4 zeta:
+at low SNR, correlation raises the information per unit of sensing energy.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 from sfcar.correlation import PhysicalEnvironment, edge_correlation, zeta_of_rho
@@ -35,6 +41,7 @@ from sfcar.network import (
     total_information,
 )
 from sfcar.rates import info_rates
+from sfcar.records import record
 
 N_MAX_CAP = 500
 
@@ -46,8 +53,10 @@ class Objective(str, Enum):
     MI = "mi"
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+_SCENARIO_FIELDS = "half_width energy environment n_min n_max objective"
+
+
+class ScenarioConfig(record("ScenarioConfig", _SCENARIO_FIELDS)):
     """Everything a sweep needs.
 
     n_max = None means "up to the feasibility boundary" (see
@@ -55,48 +64,42 @@ class ScenarioConfig:
     N_MAX_CAP.
     """
 
-    half_width: float
-    energy: EnergyModel
-    environment: PhysicalEnvironment
-    n_min: int = 1
-    n_max: int | None = None
-    objective: Objective = Objective.KLI
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_min < 1:
-            raise DomainError(f"n_min must be >= 1, got {self.n_min!r}")
-        if self.n_max is not None and self.n_max < self.n_min:
-            raise DomainError(
-                f"need n_min <= n_max, got {self.n_min!r} > {self.n_max!r}"
-            )
-        largest = self.n_min if self.n_max is None else self.n_max
+    def __new__(
+        cls,
+        half_width: float,
+        energy: EnergyModel,
+        environment: PhysicalEnvironment,
+        n_min: int = 1,
+        n_max: int | None = None,
+        objective: Objective = Objective.KLI,
+    ):
+        if n_min < 1:
+            raise DomainError(f"n_min must be >= 1, got {n_min!r}")
+        if n_max is not None and n_max < n_min:
+            raise DomainError(f"need n_min <= n_max, got {n_min!r} > {n_max!r}")
+        largest = n_min if n_max is None else n_max
         if largest > N_MAX_CAP:
             raise DomainError(
                 f"lattice index must be <= N_MAX_CAP = {N_MAX_CAP}, got {largest!r}"
             )
+        return super().__new__(cls, half_width, energy, environment, n_min, n_max, objective)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One density candidate with every derived quantity.
+_SWEEP_FIELDS = "n mu_n d_n rho zeta e_s snr kli_rate mi_rate total_kli total_mi feasible"
+
+
+class SweepRow(record("SweepRow", _SWEEP_FIELDS)):
+    """One density candidate with every derived quantity, in the CLI's
+    column order.
 
     Infeasible rows keep their geometric fields (they depend only on n)
     and carry None for the energy-dependent ones; values are never
     fabricated.
     """
 
-    n: int
-    mu_n: float
-    d_n: float
-    rho: float
-    zeta: float
-    e_s: float | None
-    snr: float | None
-    kli_rate: float | None
-    mi_rate: float | None
-    total_kli: float | None
-    total_mi: float | None
-    feasible: bool
+    __slots__ = ()
 
     def objective_total(self, objective: Objective) -> float | None:
         return self.total_kli if objective is Objective.KLI else self.total_mi

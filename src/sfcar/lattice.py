@@ -22,13 +22,13 @@ spectral shortcut to the defining Gaussian formulas.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from sfcar import kernels
 from sfcar.errors import DomainError
 from sfcar.rates import InfoRates, _check_zeta_snr, _spectral_norm
+from sfcar.records import record
 # Not called here; sfcarbench/spans.py wraps this module attribute by name.
 from sfcar.special import complete_elliptic_k  # noqa: F401
 
@@ -37,17 +37,17 @@ _DENSE_N_MAX = 12
 TORUS_N_MAX = 65536
 
 
-@dataclass(frozen=True)
-class TorusSpec:
+class TorusSpec(record("TorusSpec", "n_per_axis")):
     """Validation lattice size: N x N nodes, 2 <= N <= TORUS_N_MAX."""
 
-    n_per_axis: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 2 <= self.n_per_axis <= TORUS_N_MAX:
+    def __new__(cls, n_per_axis: int):
+        if not 2 <= n_per_axis <= TORUS_N_MAX:
             raise DomainError(
-                f"torus needs 2 <= N <= {TORUS_N_MAX}, got {self.n_per_axis!r}"
+                f"torus needs 2 <= N <= {TORUS_N_MAX}, got {n_per_axis!r}"
             )
+        return super().__new__(cls, n_per_axis)
 
 
 def torus_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:

@@ -9,30 +9,30 @@ and measurement SNR grows linearly with it: SNR = beta * E_s.
 """
 
 import math
-from dataclasses import dataclass
 
 from sfcar.errors import DomainError, InfeasibleDensityError
 from sfcar.rates import InfoRates
+from sfcar.records import record
 
 
-@dataclass(frozen=True)
-class Deployment:
+class Deployment(record("Deployment", "half_width n")):
     """Lattice deployment: coverage half-width L and lattice index n."""
 
-    half_width: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.half_width > 0.0:
-            raise DomainError(f"half_width must be > 0, got {self.half_width!r}")
-        if self.n < 1:
-            raise DomainError(f"lattice index must be >= 1, got {self.n!r}")
-        side = 2.0 * self.half_width
+    def __new__(cls, half_width: float, n: int):
+        if not half_width > 0.0:
+            raise DomainError(f"half_width must be > 0, got {half_width!r}")
+        if n < 1:
+            raise DomainError(f"lattice index must be >= 1, got {n!r}")
+        self = super().__new__(cls, half_width, n)
+        side = 2.0 * half_width
         if not (0.0 < side * side < math.inf and self.density < math.inf):
             raise DomainError(
-                f"half_width {self.half_width!r} is out of range at n={self.n}: "
+                f"half_width {half_width!r} is out of range at n={n}: "
                 "the density (2n+1)^2 / (2L)^2 must be a positive finite double"
             )
+        return self
 
     @property
     def spacing(self) -> float:
@@ -50,24 +50,21 @@ class Deployment:
         return self.node_count / (2.0 * self.half_width) ** 2
 
 
-@dataclass(frozen=True)
-class EnergyModel:
+class EnergyModel(record("EnergyModel", "total_energy e0 nu beta")):
     """Budget and rate constants: E (J), E0 (J/length^nu), nu >= 2, beta (1/J)."""
 
-    total_energy: float
-    e0: float
-    nu: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.total_energy > 0.0:
-            raise DomainError(f"total_energy must be > 0, got {self.total_energy!r}")
-        if self.e0 < 0.0:
-            raise DomainError(f"e0 must be >= 0, got {self.e0!r}")
-        if not self.nu >= 2.0:
-            raise DomainError(f"attenuation factor nu must be >= 2, got {self.nu!r}")
-        if not self.beta > 0.0:
-            raise DomainError(f"beta must be > 0, got {self.beta!r}")
+    def __new__(cls, total_energy: float, e0: float, nu: float, beta: float):
+        if not total_energy > 0.0:
+            raise DomainError(f"total_energy must be > 0, got {total_energy!r}")
+        if e0 < 0.0:
+            raise DomainError(f"e0 must be >= 0, got {e0!r}")
+        if not nu >= 2.0:
+            raise DomainError(f"attenuation factor nu must be >= 2, got {nu!r}")
+        if not beta > 0.0:
+            raise DomainError(f"beta must be > 0, got {beta!r}")
+        return super().__new__(cls, total_energy, e0, nu, beta)
 
 
 def comm_energy_per_edge(energy: EnergyModel, spacing: float) -> float:

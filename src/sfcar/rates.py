@@ -56,9 +56,9 @@ of the nodes and lose two digits (2.6e-13).
 """
 
 import math
-from dataclasses import dataclass
 
 from sfcar.errors import DomainError
+from sfcar.records import record
 from sfcar.special import complete_elliptic_k
 
 # Positive nodes and their weights of the 12-point Gauss-Legendre rule on
@@ -82,16 +82,16 @@ _OUTER = tuple(
 _C3, _C5, _C7, _C9, _C11, _C13, _C15 = (2.0 / j for j in range(3, 16, 2))
 
 
-@dataclass(frozen=True)
-class InfoRates:
+class InfoRates(record("InfoRates", "kli mi")):
     """Per-node information rates in nats: 0 <= kli <= mi."""
 
-    kli: float
-    mi: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.kli <= self.mi):
+    def __new__(cls, kli: float, mi: float):
+        self = super().__new__(cls, kli, mi)
+        if not (0.0 <= kli <= mi):
             raise DomainError(f"rates must satisfy 0 <= kli <= mi, got {self!r}")
+        return self
 
 
 def info_rates(zeta: float, snr: float) -> InfoRates:

@@ -269,7 +269,8 @@ class TestImportGraph:
     # NumPy serves the finite-lattice oracles alone; a fresh interpreter
     # runs every other command without loading it
     SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+before = set(sys.modules)
 import sfcar
 from sfcar.cli import main
 
@@ -284,6 +285,8 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         seen[argv[0]] = main(argv)
 seen["numpy_before_validate"] = "numpy" in sys.modules
+seen["loaded"] = sorted({{"dataclasses", "json"}} & (set(sys.modules) - before))
+import json
 with contextlib.redirect_stdout(io.StringIO()):
     seen["validate"] = main(["validate", "--zeta", "0.2", "--snr-db", "0", "--N", "8"])
 from sfcar import TorusSpec, dense_gaussian_rates, torus_rates
@@ -292,6 +295,8 @@ seen["lattice_names"] = torus_rates(0.2, 1.0, TorusSpec(8)) == sfcar.torus_rates
 print(json.dumps(seen))
 """
 
+    # nor does the library or a CSV run load dataclasses or json: the
+    # records are namedtuples, and json serves --format json and --config
     def test_numpy_loaded_only_by_validate(self):
         env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
         done = subprocess.run(
@@ -302,7 +307,8 @@ print(json.dumps(seen))
         seen = json.loads(done.stdout)
         assert seen == {
             "rates": 0, "map": 0, "sweep": 0, "optimize": 0,
-            "numpy_before_validate": False, "validate": 0, "lattice_names": True,
+            "numpy_before_validate": False, "loaded": [], "validate": 0,
+            "lattice_names": True,
         }
 
     def test_unknown_attribute(self):
@@ -441,6 +447,15 @@ class TestRejectedInput:
     def test_negative_density_bound(self, capsys, flag):
         err = self.rejected(capsys, ["sweep", *PAPER_ARGS, flag, "-1"])
         assert flag in err and "-1" in err
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    def test_unwritable_output(self, capsys, tmp_path, target):
+        # a directory that does not exist, and a path that is a directory
+        path = str(tmp_path / target)
+        err = self.rejected(capsys, ["rates", "--zeta", "0.1", "--snr-db", "0",
+                                     "--output", path])
+        assert err.startswith(f"error: --output {path}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("size", ["1", str(TORUS_N_MAX + 1)])
     def test_torus_size_out_of_range(self, capsys, size):
