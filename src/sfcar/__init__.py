@@ -33,7 +33,7 @@ from sfcar.network import (
     total_comm_energy,
     total_information,
 )
-from sfcar.rates import InfoRates, info_rates, kli_rate, mi_rate
+from sfcar.rates import InfoRates, info_rates
 from sfcar.special import bessel_k1, complete_elliptic_e, complete_elliptic_k
 
 __version__ = "0.1.0"
@@ -74,8 +74,6 @@ __all__ = [
     "InfeasibleDensityError",
     "InfoRates",
     "info_rates",
-    "kli_rate",
-    "mi_rate",
     "NoFeasibleDensityError",
     "node_snr",
     "Objective",

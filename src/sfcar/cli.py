@@ -10,7 +10,9 @@ with identical field names.  Floats are emitted in shortest round-trip
 form, so outputs keep full double precision and can serve as regression
 fixtures.
 
-Exit codes: 0 success, 2 invalid input, 3 no feasible density.
+Exit codes: 0 success, 2 invalid input, 3 no feasible density.  A
+reader that closes stdout early (`sfcar sweep ... | head`) ends the
+output silently, with exit code 0.
 """
 
 import argparse
@@ -334,7 +336,15 @@ def _emit(records: list[dict], fields: Sequence[str], args: argparse.Namespace) 
         except OSError as exc:
             raise DomainError(f"--output {args.output}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left; point stdout at devnull so that the
+            # interpreter's final flush does not fail as well.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 if __name__ == "__main__":

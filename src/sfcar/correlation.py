@@ -9,12 +9,13 @@ correlation when its edge dependence factor zeta satisfies
 
 which maps zeta = 0 to rho = 0 and zeta = 1/4 to rho = 1 and is strictly
 increasing in between.  With k = 4 zeta this is rho = (1 - pi/(2K))/k,
-which one AGM sums from positive terms (special.elliptic_agm).  The map
-has no closed-form inverse; it is inverted by Newton's method, with
-dK/dk = (E - k'^2 K)/(k k'^2) from the same AGM, inside a bracket that
-falls back to bisection: in zeta below zeta = 1/8, and above it in
-u = log(delta), delta = 1 - 4 zeta = 1 - k, in which
-1/(1 - rho) ~ (2/pi) K ~ (2/pi) log(4/k') is nearly linear.
+which one AGM sums from positive terms (special.elliptic_agm), exactly
+zeta for zeta <= 1e-20.  The map has no closed-form inverse; it is
+inverted by Newton's method in u = log(delta), delta = 1 - 4 zeta = 1 - k,
+over the whole range, with dK/dk = (E - k'^2 K)/(k k'^2) from the same
+AGM, inside a bracket that falls back to bisection.  In u,
+1/(1 - rho) ~ (2/pi) K ~ (2/pi) log(4/k') is nearly linear as delta -> 0,
+and zeta = -expm1(u)/4 keeps the relative precision of small zeta.
 
 Precision note: near the upper endpoint zeta grows toward 1/4 only
 double-exponentially slowly in rho (K is logarithmic in delta), so
@@ -33,8 +34,9 @@ from sfcar.records import record
 # under this module's name.
 from sfcar.special import bessel_k1, complete_elliptic_k, elliptic_agm  # noqa: F401
 
-# Below this, rho = zeta + 5 zeta^3 and zeta = rho - 5 rho^3 are exact to
-# the next terms, 44 zeta^5 and 31 rho^5: under 5e-15 relative.
+# Below this, zeta = rho - 5 rho^3 is exact to the next term, 31 rho^5:
+# under 5e-15 relative.  The solver cannot go lower: its slope's
+# E - k'^2 K cancels as k -> 0.
 _SERIES_CUTOFF = 1e-4
 _NEGATIVE_CLAMP = -1e-13
 # The largest delta = 1 - 4 zeta for which 1/4 - delta/4 rounds to 1/4
@@ -43,7 +45,7 @@ _SATURATION_DELTA = 2.0**-54
 # Newton stops once a step is this small relative to the iterate; the
 # error left after it is of the order of its square.
 _NEWTON_TOL = 1e-9
-# Enough for bisection alone to meet the tolerance from either bracket.
+# Enough for bisection alone to meet the tolerance from the bracket.
 _MAX_STEPS = 60
 
 
@@ -84,33 +86,18 @@ def rho_of_zeta(zeta: float) -> float:
     """Edge correlation of an SFCAR field with edge dependence factor zeta.
 
     Endpoints are exact by continuous extension: rho(0) = 0 and
-    rho(1/4) = 1.  For zeta below 1e-4 the series zeta + 5 zeta^3 is
-    returned; above, (1 - pi/(2 K(4 zeta))) / (4 zeta) from one AGM.
+    rho(1/4) = 1.  Otherwise (1 - pi/(2 K(4 zeta))) / (4 zeta) from one
+    AGM, whose positive terms sum to 0 at zeta = 0.
     """
     if not 0.0 <= zeta <= 0.25:
         raise DomainError(f"zeta must lie in [0, 1/4], got {zeta!r}")
-    if zeta == 0.0:
-        return 0.0
     if zeta == 0.25:
         return 1.0
-    if zeta < _SERIES_CUTOFF:
-        return zeta + 5.0 * zeta**3
     k = 4.0 * zeta
     return elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[2]
 
 
-def _rho_and_slope(k: float, kc: float) -> tuple[float, float]:
-    """rho and d rho / dk at modulus k = 4 zeta, kc = sqrt(1 - k^2).
-
-    With c = (2/pi) K, rho = (1 - 1/c)/k, so d rho/dk = (c'/c^2 - rho)/k,
-    and c'/c^2 = (pi/2) (E - kc^2 K) / (K^2 k kc^2).
-    """
-    big_k, big_e, rho = elliptic_agm(k, kc)
-    dc = 0.5 * math.pi * (big_e - kc * kc * big_k) / (big_k * big_k * k * kc * kc)
-    return rho, (dc - rho) / k
-
-
-# rho at zeta = 1/8, where the solver changes variable, and at the
+# rho at zeta = 1/8, where the solver's start changes, and at the
 # saturation delta, from which zeta rounds to 1/4.
 _RHO_EIGHTH = rho_of_zeta(0.125)
 _RHO_SATURATED = elliptic_agm(
@@ -121,12 +108,13 @@ _RHO_SATURATED = elliptic_agm(
 def zeta_of_rho(rho: float) -> float:
     """Edge dependence factor reproducing edge correlation rho.
 
-    Safeguarded Newton on rho_of_zeta(zeta) = rho: in zeta for
-    rho < rho(1/8), from the series start rho - 5 rho^3; above, in
-    u = log(1 - 4 zeta) from delta_0 = 8 exp(-pi/(1 - rho)), the limit
-    of K ~ log(4/k') as delta -> 0.  Each step stays inside the bracket
-    its residuals have established, and bisects it otherwise.  Returns
-    exactly 1/4 where 1/4 - delta/4 rounds to 1/4.
+    Safeguarded Newton on rho_of_zeta(zeta) = rho in u = log(1 - 4 zeta),
+    inside the bracket [log 2^-54, 0]: from the series start
+    zeta_0 = rho - 5 rho^3 for rho < rho(1/8), above it from
+    delta_0 = 8 exp(-pi/(1 - rho)), the limit of K ~ log(4/k') as
+    delta -> 0.  Each step stays inside the bracket its residuals have
+    established, and bisects it otherwise, so u = 0 (k = 0) is never
+    evaluated.  Returns exactly 1/4 where 1/4 - delta/4 rounds to 1/4.
     """
     if _NEGATIVE_CLAMP <= rho < 0.0:
         rho = 0.0
@@ -136,39 +124,36 @@ def zeta_of_rho(rho: float) -> float:
         return rho - 5.0 * rho**3
     if rho >= _RHO_SATURATED:
         return 0.25
-    in_zeta = rho < _RHO_EIGHTH
-    if in_zeta:
-        lo, hi, x = 0.0, 0.125, rho - 5.0 * rho**3
+    lo, hi = math.log(_SATURATION_DELTA), 0.0
+    if rho < _RHO_EIGHTH:
+        u = math.log1p(-4.0 * (rho - 5.0 * rho**3))
     else:
-        # The root has delta <= 1/2; the bracket reaches to delta = 3/4 so
-        # that the first step, which overshoots from delta_0 (below the
-        # root), stays inside it when the root is near 1/2.
-        lo, hi = math.log(_SATURATION_DELTA), math.log(0.75)
-        x = max(math.log(8.0) - math.pi / (1.0 - rho), lo)
+        u = max(math.log(8.0) - math.pi / (1.0 - rho), lo)
     for _ in range(_MAX_STEPS):
-        if in_zeta:
-            k = 4.0 * x
-            value, slope = _rho_and_slope(k, math.sqrt((1.0 - k) * (1.0 + k)))
-            slope *= 4.0
-        else:
-            delta = math.exp(x)
-            value, slope = _rho_and_slope(1.0 - delta, math.sqrt(delta * (2.0 - delta)))
-            slope *= -delta
+        delta = math.exp(u)
+        k = -math.expm1(u)
+        kc = math.sqrt(delta * (2.0 - delta))
+        big_k, big_e, value = elliptic_agm(k, kc)
+        # With c = (2/pi) K, rho = (1 - 1/c)/k, so d rho/dk = (c'/c^2 - rho)/k,
+        # and c'/c^2 = (pi/2) (E - kc^2 K) / (K^2 k kc^2); dk/du = -delta.
+        dc = 0.5 * math.pi * (big_e - kc * kc * big_k) / (big_k * big_k * k * kc * kc)
+        slope = -delta * (dc - value) / k
         residual = value - rho
         if residual == 0.0:
             break
-        if (residual > 0.0) == (slope > 0.0):
-            hi = x
+        # rho falls as u rises
+        if residual > 0.0:
+            lo = u
         else:
-            lo = x
-        nxt = x - residual / slope
+            hi = u
+        nxt = u - residual / slope
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        converged = abs(nxt - x) <= _NEWTON_TOL * abs(x)
-        x = nxt
+        converged = abs(nxt - u) <= _NEWTON_TOL * abs(u)
+        u = nxt
         if converged:
             break
-    return x if in_zeta else 0.25 - 0.25 * math.exp(x)
+    return -0.25 * math.expm1(u)
 
 
 def zeta_of_spacing(env: PhysicalEnvironment, spacing: float) -> float:

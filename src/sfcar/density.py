@@ -173,13 +173,9 @@ def feasibility_boundary(config: ScenarioConfig) -> int:
     return N_MAX_CAP
 
 
-def resolve_n_max(config: ScenarioConfig) -> int:
-    return config.n_max if config.n_max is not None else feasibility_boundary(config)
-
-
 def sweep(config: ScenarioConfig) -> list[SweepRow]:
     """One SweepRow per n in [n_min, n_max], ascending."""
-    n_max = resolve_n_max(config)
+    n_max = config.n_max if config.n_max is not None else feasibility_boundary(config)
     return [evaluate_density(config, n) for n in range(config.n_min, n_max + 1)]
 
 

@@ -125,16 +125,6 @@ def info_rates(zeta: float, snr: float) -> InfoRates:
     return InfoRates(max(kli / (2.0 * math.pi), 0.0), max(mi / (2.0 * math.pi), 0.0))
 
 
-def kli_rate(zeta: float, snr: float) -> float:
-    """Per-node Kullback-Leibler rate in nats."""
-    return info_rates(zeta, snr).kli
-
-
-def mi_rate(zeta: float, snr: float) -> float:
-    """Per-node mutual-information rate in nats."""
-    return info_rates(zeta, snr).mi
-
-
 def _check_zeta_snr(zeta: float, snr: float) -> None:
     if not 0.0 <= zeta <= 0.25:
         raise DomainError(f"zeta must lie in [0, 1/4], got {zeta!r}")

@@ -11,14 +11,16 @@ for x > 0.  The modulus convention matters: downstream formulas evaluate
 K(4*zeta) with zeta in [0, 1/4) and rely on the divergence happening
 exactly at the perfect-correlation endpoint.
 
-K(k) is computed by the arithmetic-geometric mean iteration
-K = pi / (2 * AGM(1, sqrt(1 - k^2))), which converges quadratically and
-needs no coefficient tables.  The same iteration, driven by the
-complementary modulus k' = sqrt(1 - k^2) and carrying the half
-differences c_n, gives (1 - pi/(2K)) / k = (sum_{n>=1} c_n) / k, the
+elliptic_agm is the one arithmetic-geometric mean iteration behind all
+three elliptic quantities.  Driven by the complementary modulus
+k' = sqrt(1 - k^2), it gives K = pi / (2 * AGM(1, k')), converging
+quadratically with no coefficient tables.  Carrying the half differences
+c_n, it also gives (1 - pi/(2K)) / k = (sum_{n>=1} c_n) / k, the
 quantity behind the correlation map, as a sum of positive terms free of
 cancellation, and E = K (1 - sum_n 2^(n-1) c_n^2), whose difference
 loses about log10(K) digits as k -> 1 (relative error under 1e-14).
+complete_elliptic_k and complete_elliptic_e check the modulus and
+return its K and E.
 K_1 uses the ascending series with logarithmic term for x <= 2 and
 Steed's continued fraction for x > 2; both branches agree to ~1e-15 at
 the seam, comfortably inside the 1e-10 contract on [1e-8, 700].
@@ -38,11 +40,7 @@ def complete_elliptic_k(k: float) -> float:
     """
     if not 0.0 <= k < 1.0:
         raise DomainError(f"elliptic modulus must satisfy 0 <= k < 1, got {k!r}")
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    while abs(a - b) > 1e-15 * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[0]
 
 
 def complete_elliptic_e(k: float) -> float:

@@ -21,7 +21,7 @@ from sfcar.correlation import PhysicalEnvironment, rho_of_zeta, zeta_of_rho
 from sfcar.density import Objective, ScenarioConfig, sweep
 from sfcar.lattice import TorusSpec, dense_gaussian_rates, torus_rates
 from sfcar.network import EnergyModel
-from sfcar.rates import info_rates, kli_rate, mi_rate
+from sfcar.rates import info_rates
 from sfcar.special import bessel_k1, complete_elliptic_k
 
 from oracles import (
@@ -46,8 +46,8 @@ def test_criterion_01_closed_form_white_field_rates():
     for snr in (0.01, 1.0, 100.0):
         kli_ref = 0.5 * (math.log1p(snr) + 1.0 / (1.0 + snr) - 1.0)
         mi_ref = 0.5 * math.log1p(snr)
-        worst = max(worst, abs(kli_rate(0.0, snr) - kli_ref) / kli_ref)
-        worst = max(worst, abs(mi_rate(0.0, snr) - mi_ref) / mi_ref)
+        worst = max(worst, abs(info_rates(0.0, snr).kli - kli_ref) / kli_ref)
+        worst = max(worst, abs(info_rates(0.0, snr).mi - mi_ref) / mi_ref)
     elapsed = time.perf_counter() - t0
     report(
         "01 closed-form zeta=0 rates",
@@ -118,13 +118,13 @@ def test_criterion_05_low_snr_exponents():
     t0 = time.perf_counter()
     snrs = np.logspace(-4, -3, 8)
     kli_slope = np.polyfit(
-        np.log(snrs), np.log([kli_rate(0.15, float(s)) for s in snrs]), 1
+        np.log(snrs), np.log([info_rates(0.15, float(s)).kli for s in snrs]), 1
     )[0]
     mi_slope = np.polyfit(
-        np.log(snrs), np.log([mi_rate(0.15, float(s)) for s in snrs]), 1
+        np.log(snrs), np.log([info_rates(0.15, float(s)).mi for s in snrs]), 1
     )[0]
-    kli_const = kli_rate(0.0, 1e-4) / 1e-8
-    mi_const = mi_rate(0.0, 1e-4) / 1e-4
+    kli_const = info_rates(0.0, 1e-4).kli / 1e-8
+    mi_const = info_rates(0.0, 1e-4).mi / 1e-4
     ok = (
         abs(kli_slope - 2.0) <= 0.05
         and abs(mi_slope - 1.0) <= 0.05
@@ -144,8 +144,8 @@ def test_criterion_05_low_snr_exponents():
 def test_criterion_06_high_snr_slope():
     t0 = time.perf_counter()
     half_ln_100 = 0.5 * math.log(100.0)
-    kli_slope = (kli_rate(0.1, 1e6) - kli_rate(0.1, 1e4)) / half_ln_100
-    mi_slope = (mi_rate(0.1, 1e6) - mi_rate(0.1, 1e4)) / half_ln_100
+    kli_slope = (info_rates(0.1, 1e6).kli - info_rates(0.1, 1e4).kli) / half_ln_100
+    mi_slope = (info_rates(0.1, 1e6).mi - info_rates(0.1, 1e4).mi) / half_ln_100
     ok = abs(kli_slope - 1.0) <= 0.05 and abs(mi_slope - 1.0) <= 0.05
     elapsed = time.perf_counter() - t0
     report(
@@ -363,8 +363,8 @@ def test_criterion_10c_high_density_tail(paper_sweeps):
 def test_criterion_11_correlation_benefit_shape():
     t0 = time.perf_counter()
     grid = np.linspace(0.0, 0.25, 50)
-    high = [kli_rate(float(z), 10.0) for z in grid]
-    low = [kli_rate(float(z), 10.0 ** (-0.5)) for z in grid]
+    high = [info_rates(float(z), 10.0).kli for z in grid]
+    low = [info_rates(float(z), 10.0 ** (-0.5)).kli for z in grid]
     monotone_high = all(b < a for a, b in zip(high, high[1:]))
     peaks = local_maxima(low)
     interior_peak = bool(peaks) and grid[peaks[0]] > 0.1

@@ -343,6 +343,24 @@ print(json.dumps(seen))
         }
 
 
+class TestClosedPipe:
+    # A reader that leaves early (`sfcar sweep ... | head`) ends the output
+    # quietly.  The E=200 JSON sweep, about 200 KB, overfills a pipe buffer,
+    # so the write meets the closed pipe wherever the race falls.
+    def test_sweep_into_closed_pipe(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
+        argv = ["sweep", *PAPER_ARGS, "--format", "json"]
+        argv[argv.index("--E") + 1] = "200"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sfcar.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err
+
+
 class TestConfigFile:
     def test_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "scenario.json"

@@ -86,7 +86,11 @@ class TestRhoOfZeta:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_small_zeta_series(self):
-        for z in np.linspace(1e-5, 0.01, 60):
+        # The AGM's positive terms, with no series branch: below about
+        # 1e-20 the bound demands rho == zeta exactly, down to the
+        # smallest subnormal.
+        grid = [5e-324, 1e-300, 1e-150, 1e-20, *np.linspace(1e-5, 0.01, 60)]
+        for z in grid:
             assert abs(rho_of_zeta(float(z)) - float(z)) <= 10.0 * float(z) ** 3
 
     @pytest.mark.parametrize("bad", [-0.01, 0.2500001, 1.0])
@@ -129,8 +133,8 @@ class TestZetaOfRho:
             assert back == pytest.approx(float(z), abs=1e-10)
 
 
-# rho at zeta = 1/8 (k = 1/2), where the solver changes variable, from
-# the elliptic integral oracle.
+# rho at zeta = 1/8 (k = 1/2), where the solver's start changes, from the
+# elliptic integral oracle.
 RHO_EIGHTH = rho_of_zeta_elliptic(0.125)
 # 520 edge correlations from the series cutoff to beyond the paper rows'
 # largest (0.955), so past the saturation at rho ~ 0.9205.
@@ -174,7 +178,7 @@ class TestSolver:
 
         monkeypatch.setattr(sfcar.correlation, "elliptic_agm", counted)
         counts = []
-        # the grid, and roots just below delta = 1/2, where log(delta) begins
+        # the grid, and roots just below delta = 1/2, where the start changes
         for rho in SOLVER_GRID + [RHO_EIGHTH, 0.13639, 0.1364, 0.137, 0.14]:
             calls.clear()
             zeta_of_rho(rho)
@@ -183,8 +187,9 @@ class TestSolver:
         assert sum(counts) / len(counts) <= 4.0
 
 
-# Around the series cutoff (1e-4) and where the closed form would cancel.
-SMALL_ARGUMENTS = [1e-6, 9.9e-5, 1.0001e-4, 3e-4, 1e-3, 1e-2]
+# Around the series cutoff of zeta_of_rho (1e-4), where the closed form
+# would cancel, and far below, where the SciPy oracle still resolves them.
+SMALL_ARGUMENTS = [1e-150, 1e-20, 1e-6, 9.9e-5, 1.0001e-4, 3e-4, 1e-3, 1e-2]
 
 
 class TestSmallArguments:

@@ -13,8 +13,6 @@ from sfcar.rates import (
     _spectral_norm,
     InfoRates,
     info_rates,
-    kli_rate,
-    mi_rate,
 )
 from sfcar.special import complete_elliptic_k
 
@@ -68,15 +66,15 @@ class TestSpectralRatio:
 class TestClosedForms:
     @pytest.mark.parametrize("snr", [0.01, 1.0, 100.0])
     def test_white_field_kli(self, snr):
-        assert kli_rate(0.0, snr) == pytest.approx(closed_form_kli(snr), rel=1e-10)
+        assert info_rates(0.0, snr).kli == pytest.approx(closed_form_kli(snr), rel=1e-10)
 
     @pytest.mark.parametrize("snr", [0.01, 1.0, 9.0, 100.0])
     def test_white_field_mi(self, snr):
-        assert mi_rate(0.0, snr) == pytest.approx(closed_form_mi(snr), rel=1e-10)
+        assert info_rates(0.0, snr).mi == pytest.approx(closed_form_mi(snr), rel=1e-10)
 
     def test_unit_snr_frozen(self):
-        assert kli_rate(0.0, 1.0) == pytest.approx(0.0965735903, abs=1e-9)
-        assert mi_rate(0.0, 1.0) == pytest.approx(0.3465735903, abs=1e-9)
+        assert info_rates(0.0, 1.0).kli == pytest.approx(0.0965735903, abs=1e-9)
+        assert info_rates(0.0, 1.0).mi == pytest.approx(0.3465735903, abs=1e-9)
 
     def test_zero_snr_everywhere(self):
         for zeta in (0.0, 0.1, 0.24, 0.25):
@@ -96,7 +94,7 @@ class TestLowSnrAccuracy:
             expected = 0.5 * (snr * snr / (1.0 + snr) + _log1p_minus_x(snr))
         else:
             expected = kli_rate_1d(zeta, snr)
-        assert kli_rate(zeta, snr) == pytest.approx(expected, rel=1e-11, abs=0.0)
+        assert info_rates(zeta, snr).kli == pytest.approx(expected, rel=1e-11, abs=0.0)
 
 
 class TestLowSnrExpansion:
@@ -111,7 +109,8 @@ class TestLowSnrExpansion:
         for zeta in (0.0, 0.05, 0.1, 0.15, 0.2, 0.24, 0.249, 0.2499):
             if snr / (_spectral_norm(zeta) * (1.0 - 4.0 * zeta)) > 2e-6:
                 continue
-            assert kli_rate(zeta, snr) == pytest.approx(low_snr_kli(zeta, snr), rel=1e-10, abs=0.0)
+            expected = low_snr_kli(zeta, snr)
+            assert info_rates(zeta, snr).kli == pytest.approx(expected, rel=1e-10, abs=0.0)
             checked += 1
         assert checked >= 3
 
