@@ -1,5 +1,8 @@
 """Information rates and sensor-density planning for 2-D conditionally
-autoregressive Gauss-Markov random fields observed in Gaussian noise."""
+autoregressive Gauss-Markov random fields observed in Gaussian noise.
+
+Every name below imports without NumPy: the finite-lattice oracles,
+`torus_rates` and `dense_gaussian_rates`, load it when first called."""
 
 from sfcar.correlation import (
     PhysicalEnvironment,
@@ -23,6 +26,7 @@ from sfcar.errors import (
     NoFeasibleDensityError,
     SfcarError,
 )
+from sfcar.lattice import TorusSpec, dense_gaussian_rates, torus_rates
 from sfcar.network import (
     Deployment,
     EnergyModel,
@@ -37,19 +41,6 @@ from sfcar.rates import InfoRates, info_rates
 from sfcar.special import bessel_k1, complete_elliptic_e, complete_elliptic_k
 
 __version__ = "0.1.0"
-
-
-# The finite-lattice oracles need NumPy, which nothing else imports; they
-# load on first use, so that `import sfcar` does not pay for it.
-_LATTICE_NAMES = ("TorusSpec", "dense_gaussian_rates", "torus_rates")
-
-
-def __getattr__(name: str):
-    if name in _LATTICE_NAMES:
-        from sfcar import lattice
-
-        return getattr(lattice, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def backend_name() -> str:

@@ -10,9 +10,9 @@ with identical field names.  Floats are emitted in shortest round-trip
 form, so outputs keep full double precision and can serve as regression
 fixtures.
 
-Exit codes: 0 success, 2 invalid input, 3 no feasible density.  A
-reader that closes stdout early (`sfcar sweep ... | head`) ends the
-output silently, with exit code 0.
+Exit codes: 0 success, 2 invalid input or unwritable output, 3 no
+feasible density.  A reader that closes stdout early (`sfcar sweep ...
+| head`) ends the output silently, with exit code 0.
 """
 
 import argparse
@@ -31,8 +31,9 @@ from sfcar.density import (
     sweep,
 )
 from sfcar.errors import DomainError, NoFeasibleDensityError
+from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.network import EnergyModel
-from sfcar.rates import InfoRates, info_rates
+from sfcar.rates import info_rates
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -229,6 +230,11 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         n_min = max(1, math.ceil(_lattice_index(args.L, args.mu_min, "--mu-min")))
     if args.mu_max is not None and n_max is None:
         n_max = math.floor(_lattice_index(args.L, args.mu_max, "--mu-max"))
+        if n_max < 1:
+            raise DomainError(
+                f"--mu-max {args.mu_max!r} is below {9.0 / area!r}, the density "
+                "9 / (2L)^2 of the smallest lattice, n = 1"
+            )
     return ScenarioConfig(
         half_width=args.L,
         energy=EnergyModel(
@@ -269,21 +275,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def torus_rates(zeta: float, snr: float, spec) -> InfoRates:
-    """sfcar.lattice.torus_rates, imported on first call: the torus needs
-    NumPy, which no other command loads."""
-    from sfcar.lattice import torus_rates as torus
-
-    return torus(zeta, snr, spec)
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     # kernels.rate_sums keeps its BLAS products on one thread, so a second
-    # OpenBLAS thread only costs its start-up.  Set before NumPy loads; a
-    # value the user set wins.
+    # OpenBLAS thread only costs its start-up.  Set here, since NumPy loads
+    # at the first torus call; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from sfcar.lattice import TorusSpec
-
     _require(args, "zeta", "snr_db", "N")
     specs = []
     for n in args.N:
@@ -339,12 +335,14 @@ def _emit(records: list[dict], fields: Sequence[str], args: argparse.Namespace) 
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader left; point stdout at devnull so that the
-            # interpreter's final flush does not fail as well.
+        except OSError as exc:
+            # Point stdout at devnull so that the interpreter's final flush
+            # does not fail as well.  A reader that left is no error.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+            if not isinstance(exc, BrokenPipeError):
+                raise DomainError(f"stdout: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from sfcar.network import (
     total_information,
 )
 from sfcar.rates import info_rates
-from sfcar.records import record
+from sfcar.records import integer, record
 
 N_MAX_CAP = 500
 
@@ -75,6 +75,9 @@ class ScenarioConfig(record("ScenarioConfig", _SCENARIO_FIELDS)):
         n_max: int | None = None,
         objective: Objective = Objective.KLI,
     ):
+        n_min = integer(n_min, "n_min")
+        if n_max is not None:
+            n_max = integer(n_max, "n_max")
         if n_min < 1:
             raise DomainError(f"n_min must be >= 1, got {n_min!r}")
         if n_max is not None and n_max < n_min:

@@ -19,16 +19,16 @@ dense N^2 x N^2 covariance from the spectral eigenvalues and evaluate
 the Gaussian KL divergence and mutual information from log-determinants
 and traces.  Dense and eigenvalue routes must agree to ~1e-10, tying the
 spectral shortcut to the defining Gaussian formulas.
+
+Both oracles import NumPy when first called, so that importing the
+library, which exports them, does not load it.
 """
 
 import math
 
-import numpy as np
-
-from sfcar import kernels
 from sfcar.errors import DomainError
 from sfcar.rates import InfoRates, _check_zeta_snr, _spectral_norm
-from sfcar.records import record
+from sfcar.records import integer, record
 # Not called here; sfcarbench/spans.py wraps this module attribute by name.
 from sfcar.special import complete_elliptic_k  # noqa: F401
 
@@ -43,6 +43,7 @@ class TorusSpec(record("TorusSpec", "n_per_axis")):
     __slots__ = ()
 
     def __new__(cls, n_per_axis: int):
+        n_per_axis = integer(n_per_axis, "torus N")
         if not 2 <= n_per_axis <= TORUS_N_MAX:
             raise DomainError(
                 f"torus needs 2 <= N <= {TORUS_N_MAX}, got {n_per_axis!r}"
@@ -62,6 +63,10 @@ def torus_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
         raise DomainError("torus rates are undefined at zeta = 1/4")
     if snr == 0.0:
         return InfoRates(0.0, 0.0)
+    import numpy as np
+
+    from sfcar import kernels
+
     n = spec.n_per_axis
     k = np.arange(n // 2 + 1)
     cos_omega = np.cos(2.0 * math.pi * k / n)
@@ -88,6 +93,8 @@ def dense_gaussian_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
         raise DomainError(f"dense route limited to N <= {_DENSE_N_MAX}, got {n}")
     if snr == 0.0:
         return InfoRates(0.0, 0.0)
+    import numpy as np
+
     omega = 2.0 * math.pi * np.arange(n) / n
     denom = 1.0 - 2.0 * zeta * (np.cos(omega)[:, None] + np.cos(omega)[None, :])
     eigs = snr / (_spectral_norm(zeta) * denom)

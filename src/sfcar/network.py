@@ -12,7 +12,7 @@ import math
 
 from sfcar.errors import DomainError, InfeasibleDensityError
 from sfcar.rates import InfoRates
-from sfcar.records import record
+from sfcar.records import integer, record
 
 
 class Deployment(record("Deployment", "half_width n")):
@@ -23,6 +23,7 @@ class Deployment(record("Deployment", "half_width n")):
     def __new__(cls, half_width: float, n: int):
         if not half_width > 0.0:
             raise DomainError(f"half_width must be > 0, got {half_width!r}")
+        n = integer(n, "lattice index")
         if n < 1:
             raise DomainError(f"lattice index must be >= 1, got {n!r}")
         self = super().__new__(cls, half_width, n)

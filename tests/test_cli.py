@@ -343,6 +343,27 @@ print(json.dumps(seen))
         }
 
 
+    # the library exports the lattice oracles as plain names, and neither
+    # they nor their module load NumPy until an oracle is called
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "from sfcar import *\nprint('numpy' not in sys.modules)",
+            "import sfcar.lattice\nprint('numpy' not in sys.modules)",
+            "import sfcar\nprint('TorusSpec' in dir(sfcar))",
+        ],
+        ids=["star-import", "lattice-import", "dir"],
+    )
+    def test_lattice_names_without_numpy(self, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + code],
+            capture_output=True, text=True, env=env, check=False, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True\n"
+
+
 class TestClosedPipe:
     # A reader that leaves early (`sfcar sweep ... | head`) ends the output
     # quietly.  The E=200 JSON sweep, about 200 KB, overfills a pipe buffer,
@@ -359,6 +380,28 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
         assert "Traceback" not in err
+
+
+class TestFullStdout:
+    # Any other failed write to stdout, here a full device, is an error: one
+    # message and exit 2, with no traceback from the interpreter's final flush
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [["rates", "--zeta", "0.2", "--snr-db", "10"], ["sweep", *PAPER_ARGS, "--format", "json"]],
+        ids=["rates", "sweep-json"],
+    )
+    def test_write_to_full_device(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "sfcar.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
+                timeout=60,
+            )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: stdout: ")
+        assert done.stderr.count("\n") == 1
 
 
 class TestConfigFile:
@@ -465,6 +508,14 @@ class TestRejectedInput:
     def test_negative_density_bound(self, capsys, flag):
         err = self.rejected(capsys, ["sweep", *PAPER_ARGS, flag, "-1"])
         assert flag in err and "-1" in err
+
+    @pytest.mark.parametrize("mu_max", ["0", "2.2"])
+    def test_density_bound_below_smallest_lattice(self, capsys, mu_max):
+        # at L = 1 the n = 1 lattice has density 9 / 4; the message names
+        # the flag and that density, not a derived lattice index
+        err = self.rejected(capsys, ["sweep", *PAPER_ARGS, "--mu-max", mu_max])
+        assert f"--mu-max {float(mu_max)!r}" in err and "2.25" in err
+        assert "n_max" not in err
 
     @pytest.mark.parametrize("target", ["missing/out.csv", "."])
     def test_unwritable_output(self, capsys, tmp_path, target):

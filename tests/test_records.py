@@ -3,6 +3,7 @@ construction, _make and _replace included, runs the record's checks."""
 
 import pickle
 
+import numpy as np
 import pytest
 
 from sfcar.correlation import PhysicalEnvironment
@@ -60,6 +61,32 @@ class TestRecord:
         assert pickle.loads(pickle.dumps(rec)) == rec
         # records are tuples: a plain tuple of the same values is equal
         assert rec == tuple(rec) and rec[0] == getattr(rec, rec._fields[0])
+
+
+# Lattice indices and sizes are counts: what operator.index takes, a Python
+# or NumPy integer, is kept as an int; anything else is a DomainError.
+INDEXED = {
+    "Deployment.n": (lambda n: Deployment(1.0, n), "n"),
+    "ScenarioConfig.n_min": (lambda n: ScenarioConfig(1.0, ENERGY, ENVIRONMENT, n_min=n), "n_min"),
+    "ScenarioConfig.n_max": (lambda n: ScenarioConfig(1.0, ENERGY, ENVIRONMENT, n_max=n), "n_max"),
+    "TorusSpec.n_per_axis": (lambda n: TorusSpec(n), "n_per_axis"),
+}
+
+
+@pytest.mark.parametrize("field", INDEXED)
+@pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), "3"])
+def test_non_integer_index_rejected(field, value):
+    make, _ = INDEXED[field]
+    with pytest.raises(DomainError, match="must be an integer"):
+        make(value)
+
+
+@pytest.mark.parametrize("field", INDEXED)
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_integer_index_kept_as_int(field, value):
+    make, name = INDEXED[field]
+    stored = getattr(make(value), name)
+    assert stored == 3 and type(stored) is int
 
 
 def test_repr_names_every_field():
