@@ -10,12 +10,19 @@ with identical field names.  Floats are emitted in shortest round-trip
 form, so outputs keep full double precision and can serve as regression
 fixtures.
 
+sweep and optimize bound the lattice index n either directly (--n-min,
+--n-max) or by density (--mu-min, --mu-max); a lattice flag and a
+density flag for the same end exclude each other.  Density bounds are
+inclusive and exact: they select the rows whose printed mu_n lies
+within them.
+
 Exit codes: 0 success, 2 invalid input or unwritable output, 3 no
 feasible density.  A reader that closes stdout early (`sfcar sweep ...
 | head`) ends the output silently, with exit code 0.
 """
 
 import argparse
+import bisect
 import math
 import os
 import sys
@@ -32,7 +39,7 @@ from sfcar.density import (
 )
 from sfcar.errors import DomainError, NoFeasibleDensityError
 from sfcar.lattice import TorusSpec, torus_rates
-from sfcar.network import EnergyModel
+from sfcar.network import Deployment, EnergyModel
 from sfcar.rates import info_rates
 
 EXIT_OK = 0
@@ -109,14 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "--E0", type=_finite, default=None, help="per-edge energy coefficient"
         )
         p.add_argument("--nu", type=_finite, default=None, help="path-loss exponent")
-        p.add_argument("--n-min", type=int, default=None)
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument(
-            "--mu-min", type=_finite, default=None, help="density lower bound"
-        )
-        p.add_argument(
-            "--mu-max", type=_finite, default=None, help="density upper bound"
-        )
+        for end in ("min", "max"):
+            bound = p.add_mutually_exclusive_group()
+            bound.add_argument(f"--n-{end}", type=int, default=None)
+            bound.add_argument(
+                f"--mu-{end}", type=_finite, default=None, help=f"{end}imum density"
+            )
         p.add_argument("--objective", choices=("kli", "mi"), default=None)
         p.set_defaults(handler=handler)
 
@@ -209,12 +214,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     _require(args, "L", "E", "alpha", "beta", "E0", "nu")
-    area = (2.0 * args.L) * (2.0 * args.L)
-    if not (0.0 < area < math.inf and (2 * N_MAX_CAP + 1) ** 2 / area < math.inf):
-        raise DomainError(
-            f"--L {args.L!r} is out of range: the density (2n+1)^2 / (2L)^2 "
-            f"must be a positive finite double for every n <= {N_MAX_CAP}"
-        )
+    # density rises with n, so the largest lattice is the one that can fail
+    try:
+        largest = Deployment(args.L, N_MAX_CAP)
+    except DomainError as exc:
+        raise DomainError(f"--L {args.L!r}: {exc}") from None
     # E_s = (E - communication energy) / (2n+1)^2 never exceeds E / 9
     if not args.beta * (args.E / 9.0) < math.inf:
         raise DomainError(
@@ -222,42 +226,49 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
             "SNR beta * E_s overflows"
         )
     for flag, n in (("--n-min", args.n_min), ("--n-max", args.n_max)):
-        if n is not None and n > N_MAX_CAP:
-            raise DomainError(f"{flag} {n} is above the largest lattice index, {N_MAX_CAP}")
-    n_min = args.n_min
+        if n is not None and not 1 <= n <= N_MAX_CAP:
+            raise DomainError(f"{flag} {n} is outside the lattice indices 1 to {N_MAX_CAP}")
+    for flag, mu in (("--mu-min", args.mu_min), ("--mu-max", args.mu_max)):
+        if mu is not None and mu < 0.0:
+            raise DomainError(f"{flag} {mu!r} is a density and must be >= 0")
+        if mu is not None and mu > largest.density:
+            raise DomainError(
+                f"{flag} {mu!r} is above {largest.density!r}, the density of "
+                f"the largest lattice, n = {N_MAX_CAP}"
+            )
+    n_min = 1 if args.n_min is None else args.n_min
     n_max = args.n_max
-    if args.mu_min is not None and n_min is None:
-        n_min = max(1, math.ceil(_lattice_index(args.L, args.mu_min, "--mu-min")))
-    if args.mu_max is not None and n_max is None:
-        n_max = math.floor(_lattice_index(args.L, args.mu_max, "--mu-max"))
+
+    # bisected over the lattices themselves, so that a bound equal to a
+    # row's printed mu_n selects that row
+    def density(n: int) -> float:
+        return Deployment(args.L, n).density
+
+    lattices = range(1, N_MAX_CAP + 1)
+    if args.mu_min is not None:
+        n_min = lattices[bisect.bisect_left(lattices, args.mu_min, key=density)]
+    if args.mu_max is not None:
+        # the count of lattices with density <= mu_max is the last such n
+        n_max = bisect.bisect_right(lattices, args.mu_max, key=density)
         if n_max < 1:
             raise DomainError(
-                f"--mu-max {args.mu_max!r} is below {9.0 / area!r}, the density "
+                f"--mu-max {args.mu_max!r} is below {density(1)!r}, the density "
                 "9 / (2L)^2 of the smallest lattice, n = 1"
             )
+    if n_max is not None and n_min > n_max:
+        lower = f"--n-min {n_min}" if args.mu_min is None else f"--mu-min {args.mu_min!r}"
+        upper = f"--n-max {n_max}" if args.mu_max is None else f"--mu-max {args.mu_max!r}"
+        raise DomainError(f"no lattice size satisfies both {lower} and {upper}")
     return ScenarioConfig(
         half_width=args.L,
         energy=EnergyModel(
             total_energy=args.E, e0=args.E0, nu=args.nu, beta=args.beta
         ),
         environment=PhysicalEnvironment(args.alpha),
-        n_min=1 if n_min is None else n_min,
+        n_min=n_min,
         n_max=n_max,
         objective=Objective(args.objective or "kli"),
     )
-
-
-def _lattice_index(half_width: float, mu: float, flag: str) -> float:
-    # n at which the density (2n+1)^2 / (2L)^2 equals mu; checked against
-    # the cap while a float, since an infinite one has no integer
-    if mu < 0.0:
-        raise DomainError(f"{flag} {mu!r} is a density and must be >= 0")
-    n = (2.0 * half_width * math.sqrt(mu) - 1.0) / 2.0
-    if not n <= N_MAX_CAP:
-        raise DomainError(
-            f"{flag} {mu!r} maps to lattice index {n!r}, above the largest, {N_MAX_CAP}"
-        )
-    return n
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

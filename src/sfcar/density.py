@@ -114,40 +114,15 @@ def evaluate_density(config: ScenarioConfig, n: int) -> SweepRow:
     spacing = deployment.spacing
     rho = edge_correlation(config.environment, spacing)
     zeta = zeta_of_rho(rho)
+    geometry = (n, deployment.density, spacing, rho, zeta)
     try:
         e_s = sensing_energy_per_node(config.energy, deployment)
     except InfeasibleDensityError:
-        return SweepRow(
-            n=n,
-            mu_n=deployment.density,
-            d_n=spacing,
-            rho=rho,
-            zeta=zeta,
-            e_s=None,
-            snr=None,
-            kli_rate=None,
-            mi_rate=None,
-            total_kli=None,
-            total_mi=None,
-            feasible=False,
-        )
+        return SweepRow(*geometry, *(None,) * 6, feasible=False)
     snr = node_snr(config.energy, e_s)
     rates = info_rates(zeta, snr)
-    total_kli, total_mi = total_information(deployment, rates)
-    return SweepRow(
-        n=n,
-        mu_n=deployment.density,
-        d_n=spacing,
-        rho=rho,
-        zeta=zeta,
-        e_s=e_s,
-        snr=snr,
-        kli_rate=rates.kli,
-        mi_rate=rates.mi,
-        total_kli=total_kli,
-        total_mi=total_mi,
-        feasible=True,
-    )
+    totals = total_information(deployment, rates)
+    return SweepRow(*geometry, e_s, snr, rates.kli, rates.mi, *totals, feasible=True)
 
 
 def feasibility_boundary(config: ScenarioConfig) -> int:
@@ -188,16 +163,8 @@ def optimize(config: ScenarioConfig) -> SweepRow:
     Ties break toward smaller n.  Raises NoFeasibleDensityError when no
     candidate is feasible.
     """
-    best: SweepRow | None = None
-    for row in sweep(config):
-        if not row.feasible:
-            continue
-        if best is None or row.objective_total(config.objective) > best.objective_total(
-            config.objective
-        ):
-            best = row
-    if best is None:
-        raise NoFeasibleDensityError(
-            "no feasible density in the configured range"
-        )
-    return best
+    feasible = [row for row in sweep(config) if row.feasible]
+    if not feasible:
+        raise NoFeasibleDensityError("no feasible density in the configured range")
+    # max keeps the first of equal values: the smaller n
+    return max(feasible, key=lambda row: row.objective_total(config.objective))

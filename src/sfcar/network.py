@@ -57,14 +57,14 @@ class EnergyModel(record("EnergyModel", "total_energy e0 nu beta")):
     __slots__ = ()
 
     def __new__(cls, total_energy: float, e0: float, nu: float, beta: float):
-        if not total_energy > 0.0:
-            raise DomainError(f"total_energy must be > 0, got {total_energy!r}")
-        if e0 < 0.0:
-            raise DomainError(f"e0 must be >= 0, got {e0!r}")
-        if not nu >= 2.0:
-            raise DomainError(f"attenuation factor nu must be >= 2, got {nu!r}")
-        if not beta > 0.0:
-            raise DomainError(f"beta must be > 0, got {beta!r}")
+        if not 0.0 < total_energy < math.inf:
+            raise DomainError(f"total_energy must be finite and > 0, got {total_energy!r}")
+        if not 0.0 <= e0 < math.inf:
+            raise DomainError(f"e0 must be finite and >= 0, got {e0!r}")
+        if not 2.0 <= nu < math.inf:
+            raise DomainError(f"attenuation factor nu must be finite and >= 2, got {nu!r}")
+        if not 0.0 < beta < math.inf:
+            raise DomainError(f"beta must be finite and > 0, got {beta!r}")
         return super().__new__(cls, total_energy, e0, nu, beta)
 
 
@@ -85,6 +85,7 @@ def comm_energy_per_edge(energy: EnergyModel, spacing: float) -> float:
 def hop_count_sum(n: int) -> int:
     """Total minimum-hop count to the origin: sum over the lattice of
     |i| + |j|, in closed form 2n(n+1)(2n+1)."""
+    n = integer(n, "lattice index")
     if n < 0:
         raise DomainError(f"lattice index must be >= 0, got {n!r}")
     return 2 * n * (n + 1) * (2 * n + 1)
@@ -115,8 +116,8 @@ def sensing_energy_per_node(energy: EnergyModel, deployment: Deployment) -> floa
 
 def node_snr(energy: EnergyModel, sensing_energy: float) -> float:
     """Measurement SNR of one node: beta * E_s."""
-    if sensing_energy < 0.0:
-        raise DomainError(f"sensing energy must be >= 0, got {sensing_energy!r}")
+    if not 0.0 <= sensing_energy < math.inf:
+        raise DomainError(f"sensing energy must be finite and >= 0, got {sensing_energy!r}")
     return energy.beta * sensing_energy
 
 

@@ -18,9 +18,9 @@ import sfcar
 import sfcar.cli
 from sfcar.cli import main
 from sfcar.correlation import PhysicalEnvironment, zeta_of_spacing
-from sfcar.density import Objective, ScenarioConfig, optimize, sweep
+from sfcar.density import N_MAX_CAP, Objective, ScenarioConfig, optimize, sweep
 from sfcar.lattice import TORUS_N_MAX, TorusSpec, dense_gaussian_rates
-from sfcar.network import EnergyModel
+from sfcar.network import Deployment, EnergyModel
 from sfcar.rates import info_rates
 
 PAPER_ARGS = ["--L", "1", "--E", "50", "--alpha", "100", "--beta", "1", "--E0", "0.1", "--nu", "2"]
@@ -154,6 +154,17 @@ class TestSweepCommand:
                                  "--format", "json"])
         ns = [r["n"] for r in json.loads(out)]
         assert ns == list(range(4, 11))
+
+    @pytest.mark.parametrize("half_width", [0.3, 1.0])
+    def test_density_bounds_are_exact(self, half_width):
+        # a bound equal to a row's own mu_n selects that row, at every n
+        parser = sfcar.cli._build_parser()
+        base = ["sweep", "--L", repr(half_width), *PAPER_ARGS[2:]]
+        for n in range(1, N_MAX_CAP + 1):
+            mu = repr(Deployment(half_width, n).density)
+            lower = sfcar.cli._scenario_from_args(parser.parse_args([*base, "--mu-min", mu]))
+            upper = sfcar.cli._scenario_from_args(parser.parse_args([*base, "--mu-max", mu]))
+            assert (lower.n_min, upper.n_max) == (n, n)
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "sweep.csv"
@@ -481,10 +492,10 @@ class TestRejectedInput:
         err = self.rejected(capsys, ["rates", "--config", str(cfg)])
         assert "'snr'" in err
 
-    @pytest.mark.parametrize("half_width", ["1e300", "1e-300", "1e-154"])
+    @pytest.mark.parametrize("half_width", ["1e300", "1e-300", "1e-154", "-1"])
     def test_density_out_of_range(self, capsys, half_width):
         # (2L)^2 overflows, underflows to 0, or leaves (2n+1)^2 / (2L)^2
-        # overflowing
+        # overflowing; or L is negative
         err = self.rejected(capsys, ["sweep", "--L", half_width, "--E", "1", "--alpha", "100",
                                      "--beta", "1", "--E0", "0.1", "--nu", "2", "--n-max", "2"])
         assert "--L" in err
@@ -516,6 +527,34 @@ class TestRejectedInput:
         err = self.rejected(capsys, ["sweep", *PAPER_ARGS, "--mu-max", mu_max])
         assert f"--mu-max {float(mu_max)!r}" in err and "2.25" in err
         assert "n_max" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n-max", "0"], ["--n-min", "0"], ["--n-min", "5", "--mu-max", "10"],
+         ["--mu-min", "50", "--mu-max", "52"]],
+    )
+    def test_empty_range_names_flags(self, capsys, flags):
+        # at L = 1, 10 lies between the n = 2 and 3 densities and [50, 52]
+        # between those of n = 6 and 7
+        err = self.rejected(capsys, ["sweep", *PAPER_ARGS, *flags])
+        assert err.count("\n") == 1
+        for flag, value in zip(flags[::2], flags[1::2]):
+            assert f"{flag} {value}" in err
+        assert "n_min" not in err and "n_max" not in err
+
+    @pytest.mark.parametrize("end", ["min", "max"])
+    def test_index_and_density_flags_exclusive(self, capsys, end):
+        err = self.rejected(capsys, ["sweep", *PAPER_ARGS, f"--n-{end}", "3",
+                                     f"--mu-{end}", "1000"])
+        assert f"--n-{end}" in err and f"--mu-{end}" in err
+
+    def test_exclusive_flag_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text(json.dumps({"mu_min": 20}))
+        err = self.rejected(capsys, ["sweep", *PAPER_ARGS, "--config", str(cfg),
+                                     "--n-min", "3"])
+        assert err.startswith(f"error: --config {cfg}: ")
+        assert "--n-min" in err and "--mu-min" in err
 
     @pytest.mark.parametrize("target", ["missing/out.csv", "."])
     def test_unwritable_output(self, capsys, tmp_path, target):

@@ -52,6 +52,34 @@ class TestEnergyModel:
             EnergyModel(**kw)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInputs:
+    """Bad values fail where they enter the network layer, not later as
+    a NaN, an infinity or a rate of the wrong sign."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: EnergyModel(total_energy=50.0, e0=NAN, nu=2.0, beta=1.0),
+            lambda: EnergyModel(total_energy=INF, e0=0.1, nu=2.0, beta=1.0),
+            lambda: EnergyModel(total_energy=50.0, e0=INF, nu=2.0, beta=1.0),
+            lambda: EnergyModel(total_energy=50.0, e0=0.1, nu=INF, beta=1.0),
+            lambda: EnergyModel(total_energy=50.0, e0=0.1, nu=2.0, beta=INF),
+            lambda: hop_count_sum(1.5),
+            lambda: hop_count_sum(2.0),
+            lambda: node_snr(PAPER_ENERGY, NAN),
+            lambda: node_snr(PAPER_ENERGY, INF),
+        ],
+        ids=["e0-nan", "energy-inf", "e0-inf", "nu-inf", "beta-inf", "hops-1.5",
+             "hops-2.0", "snr-nan", "snr-inf"],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+
 class TestEdgeEnergy:
     def test_unit_spacing(self):
         assert comm_energy_per_edge(PAPER_ENERGY, 1.0) == pytest.approx(0.1)
