@@ -1,8 +1,8 @@
 """Information rates and sensor-density planning for 2-D conditionally
 autoregressive Gauss-Markov random fields observed in Gaussian noise.
 
-Every name below imports without NumPy: the finite-lattice oracles,
-`torus_rates` and `dense_gaussian_rates`, load it when first called."""
+The library is plain Python: no name below, the finite-lattice oracle
+`torus_rates` included, needs NumPy."""
 
 from sfcar.correlation import (
     PhysicalEnvironment,
@@ -26,7 +26,7 @@ from sfcar.errors import (
     NoFeasibleDensityError,
     SfcarError,
 )
-from sfcar.lattice import TorusSpec, dense_gaussian_rates, torus_rates
+from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.network import (
     Deployment,
     EnergyModel,
@@ -54,7 +54,6 @@ __all__ = [
     "comm_energy_per_edge",
     "complete_elliptic_e",
     "complete_elliptic_k",
-    "dense_gaussian_rates",
     "Deployment",
     "DomainError",
     "edge_correlation",

@@ -287,10 +287,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    # kernels.rate_sums keeps its BLAS products on one thread, so a second
-    # OpenBLAS thread only costs its start-up.  Set here, since NumPy loads
-    # at the first torus call; a value the user set wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _require(args, "zeta", "snr_db", "N")
     specs = []
     for n in args.N:

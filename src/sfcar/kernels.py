@@ -1,53 +1,102 @@
-"""Blocked spectral sum over a tensor-product frequency grid.
+"""Spectral sums of the torus oracle, in closed form along the column axis.
 
-The torus oracle averages the KL and MI integrands over the 2-D DFT grid
-with this sum.  It shares no formula with the one-dimensional rate
-quadrature in ``sfcar.rates``, so the two check each other.  The grid is
-processed in blocks of about 2**15 elements, 256 KB per temporary, so
-that each block's temporaries stay in cache and peak memory does not
-grow with the grid.  Rows of up to 2**14 points are taken whole, two
-or more to a block, which keeps each block's BLAS matrix-vector
-products on one thread; a second thread costs more CPU time than it
-saves wall time.  Longer rows (a torus N of 32,768 or more) are cut
-into blocks of 4 rows by 2**12 columns.  Taken whole they made
-one-row blocks, whose products OpenBLAS split over two threads; these
-smaller blocks measured fastest at N = 32,768 and 65,536, at about
-10 ns a point on one thread, against 15-28 ns for 2**15-element blocks
-of long rows.
+On the N x N torus the KL and MI integrands are averaged over the 2-D
+DFT grid.  Along the column axis the Chebyshev product identity
+prod_k (x - cos 2 pi k / N) = 2^(1-N) (T_N(x) - 1) sums each row in
+closed form, so only the rows are visited: O(N) work in plain Python.
+
+Work in units of c = (2/pi) K(4 zeta) and put sigma = SNR/c.  A row with
+sin^2(w1/2) = s has A0 - B = g = delta + 4 zeta s, A0 + B = k = 1 + 4 zeta s
+and A1 = A0 + sigma, with B = 2 zeta and delta = 1 - 4 zeta; r0, r1, x and
+the KL bracket log1p(x) - sigma/r1 are those of `sfcar.rates`.  With
+cosh(2 h/N) = A/B the row's log-sum is N log(B/2) + 2 log 2 + 2 log sinh h,
+and its sum of 1/(A - B cos w2) is N coth(h)/r.  So
+
+    h0 = (N/2) asinh(r0 / (2 zeta)),  D = h1 - h0 = (N/2) log1p(x),
+    row MI = (N/2) log1p(x) - log1p(-u),
+    row KL = (N/2) bracket coth(h1) + [-log1p(-u) - u] + p (expm1(2D) - 2D),
+
+with u = e^(-2 h0) (1 - e^(-2D)) / (1 - e^(-2 h1)) and p = 1/expm1(2 h1);
+u = p expm1(2D).  The finite-N terms are exponentially small in h0, which
+is about N sqrt(delta) on the first row.  All three KL terms are >= 0 and
+each is taken without cancellation, so KL keeps its digits as SNR -> 0:
+the bracket as in `sfcar.rates`, the other two by their series where they
+are O(D^2).  The subtraction of the whole trace from MI would lose them.
 """
 
-import numpy as np
+import math
 
-_BLOCK_ELEMENTS = 1 << 15
-_LONG_ROW_BLOCK = (4, 1 << 12)  # (rows, columns) once a row exceeds 2**14
+from sfcar.rates import _C3, _C5, _C7, _C9, _C11, _C13, _C15
+
+# 1/n! for n = 2..12: expm1(t) - t in Horner form, below 1e-19 of the sum
+# once truncated for t <= 0.1.
+_EXP_TAIL = tuple(1.0 / math.factorial(n) for n in range(12, 1, -1))
 
 
-def rate_sums(cos1, w1, cos2, w2, zeta: float, snr: float, cnorm: float):
-    """Return (kli_sum, mi_sum), the weighted sums over the grid i, j of
+def _atanh_tail(y: float) -> float:
+    # 2 atanh(y) - 2 y for |y| <= 0.053, truncated as in `sfcar.rates`
+    y2 = y * y
+    series = _C11 + y2 * (_C13 + y2 * _C15)
+    return y * y2 * (_C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series))))
+
+
+def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
+    """Return (kli, mi): the sums over rows i of weights[i] times the
+    average over the columns k = 0 .. N-1, N = len(columns), of
 
         0.5 log1p(s) - 0.5 s / (1 + s)   and   0.5 log1p(s),
 
-    with s = snr / (cnorm (1 - 2 zeta (cos1[i] + cos2[j]))) and weights
-    w1[i] w2[j].
+    with s = snr / (cnorm (1 - 2 zeta (cos w1 + cos(2 pi k / N)))) and
+    rows[i] = sin^2(w1 / 2).
     """
-    cos1 = np.ascontiguousarray(cos1, dtype=np.float64)
-    w1 = np.ascontiguousarray(w1, dtype=np.float64)
-    cos2 = np.ascontiguousarray(cos2, dtype=np.float64)
-    w2 = np.ascontiguousarray(w2, dtype=np.float64)
-    n2 = cos2.shape[0]
-    if n2 > _BLOCK_ELEMENTS // 2:
-        rows, cols = _LONG_ROW_BLOCK
-    else:
-        cols = max(n2, 1)
-        rows = _BLOCK_ELEMENTS // cols
-    kli = 0.0
-    mi = 0.0
-    for a in range(0, cos1.shape[0], rows):
-        for b in range(0, cos2.shape[0], cols):
-            cc = cos1[a : a + rows, None] + cos2[None, b : b + cols]
-            s = snr / (cnorm * (1.0 - 2.0 * zeta * cc))
-            m = 0.5 * np.log1p(s)
-            mi += float(w1[a : a + rows] @ (m @ w2[b : b + cols]))
-            m -= 0.5 * (s / (1.0 + s))
-            kli += float(w1[a : a + rows] @ (m @ w2[b : b + cols]))
-    return kli, mi
+    n = len(columns)
+    half_n = 0.5 * n
+    delta = 1.0 - 4.0 * zeta
+    sigma = snr / cnorm
+    inv_b = 0.5 / zeta if zeta else math.inf
+    sqrt, log1p, exp, expm1, asinh = math.sqrt, math.log1p, math.exp, math.expm1, math.asinh
+    kli = mi = 0.0
+    for s2, weight in zip(rows, weights):
+        h = 4.0 * zeta * s2
+        g = delta + h
+        k = 1.0 + h
+        a = 0.5 * (g + k)
+        r0 = sqrt(g * k)
+        r1 = sqrt(g + sigma) * sqrt(k + sigma)
+        v = a + r0
+        rsum = r0 + r1
+        x = (sigma / v) * (1.0 + (a + a + sigma) / rsum)
+        m = log1p(x)
+        if x > 0.1:
+            bracket = m - sigma / r1
+        else:
+            a1 = a + sigma
+            y = x / (2.0 + x)
+            head = sigma * sigma * ((a + a1) * (1.0 + a1 / rsum) + r0) / (v * r1 * rsum)
+            bracket = head + _atanh_tail(y) - x * y
+        # the finite-N corrections, from h0, h1 and D = h1 - h0
+        h0 = half_n * asinh(r0 * inv_b)
+        d = half_n * m
+        h1 = h0 + d
+        em0 = -expm1(-2.0 * h0)
+        em1 = -expm1(-2.0 * h1)
+        q = exp(-2.0 * h0) * -expm1(-2.0 * d)  # e^(-2 h0) - e^(-2 h1)
+        u = q / em1
+        p = exp(-2.0 * h1) / em1
+        log_ratio = log1p(q / em0)  # -log1p(-u) = log(em1 / em0)
+        mi += weight * (half_n * m + log_ratio)
+        if u <= 0.1:  # -log1p(-u) - u = u y + 2 atanh(y) - 2 y, y = u / (2 - u)
+            y = u / (2.0 - u)
+            u_term = u * y + _atanh_tail(y)
+        else:
+            u_term = log_ratio - u
+        t = d + d
+        if t <= 0.1:
+            tail = 0.0
+            for coef in _EXP_TAIL:
+                tail = tail * t + coef
+            p_term = p * t * t * tail
+        else:
+            p_term = u - t * p
+        kli += weight * (half_n * bracket * (1.0 + 2.0 * p) + u_term + p_term)
+    return kli / n, mi / n

@@ -2,9 +2,10 @@
 
 Each oracle evaluates a defining integral, root or brute-force sum with
 SciPy's special functions, adaptive quadrature and root finding, with
-40-digit decimal arithmetic or with plain enumeration; `spectral_ratio`
-writes out the spectral ratio in NumPy.  Nothing here imports sfcar: the
-oracles share no code path with the library implementations they check.
+40-digit decimal arithmetic or with plain enumeration; `spectral_ratio`,
+the tensor-grid sum and the dense torus covariance are written in NumPy.
+Nothing here imports sfcar: the oracles share no code path with the
+library implementations they check.
 """
 
 import math
@@ -257,6 +258,112 @@ def spectral_ratio(zeta: float, snr: float, cnorm: float, omega1, omega2):
     at scalar or array frequencies.  With cnorm = (2/pi) K(4 zeta) its
     average over the frequency square is snr."""
     return snr / (cnorm * (1.0 - 2.0 * zeta * (np.cos(omega1) + np.cos(omega2))))
+
+
+def tensor_rate_sums(half1, w1, half2, w2, zeta: float, snr: float, cnorm: float):
+    """(kli_sum, mi_sum), the weighted sums over the grid i, j of
+
+        0.5 log1p(s) - 0.5 s / (1 + s)   and   0.5 log1p(s),
+
+    with weights w1[i] w2[j] and s = snr / (cnorm (1 - 2 zeta (cos w1 +
+    cos w2))), over the whole grid at once.  The grid is given by the
+    half-angle sines half[i] = sin^2(w / 2), and the denominator is taken
+    as delta + 4 zeta (half1[i] + half2[j]), delta = 1 - 4 zeta, which
+    keeps its digits near the spectral peak as zeta -> 1/4.  KL subtracts
+    the two integrands, so it carries a relative error of about 1e-16 / s
+    at low SNR."""
+    half1, w1, half2, w2 = (np.asarray(a, dtype=np.float64) for a in (half1, w1, half2, w2))
+    s = np.add.outer(half1, half2)
+    s *= 4.0 * zeta
+    s += 1.0 - 4.0 * zeta
+    s *= cnorm
+    np.divide(snr, s, out=s)
+    m = 0.5 * np.log1p(s)
+    mi = float(w1 @ (m @ w2))
+    denominator = s + 1.0
+    np.divide(s, denominator, out=s)
+    del denominator
+    m -= 0.5 * s
+    return float(w1 @ (m @ w2)), mi
+
+
+def torus_grid_rates(zeta: float, snr: float, n: int) -> tuple[float, float]:
+    """(kli, mi) per node on the n x n torus: `tensor_rate_sums` over the
+    DFT grid, each axis folded onto its n // 2 + 1 distinct frequencies
+    with shares 1/n (k = 0 and k = n/2) and 2/n, and c = (2/pi) K(4 zeta)."""
+    k = np.arange(n // 2 + 1)
+    half = np.sin(math.pi * k / n) ** 2
+    w = np.where((k == 0) | (2 * k == n), 1.0 / n, 2.0 / n)
+    cnorm = 1.0 + _cnorm_minus_one(zeta)
+    return tensor_rate_sums(half, w, half, w, zeta, snr, cnorm)
+
+
+_DENSE_N_MAX = 12
+
+
+def dense_gaussian_rates(zeta: float, snr: float, n: int) -> tuple[float, float]:
+    """(kli, mi) per node from the dense n^2 x n^2 torus covariance.
+
+    Builds Sigma_X by inverse 2-D DFT of the spectral eigenvalues
+    snr / (c (1 - 2 zeta (cos w1 + cos w2))), c = (2/pi) K(4 zeta), then
+    per-node D(p0 || p1) = (1/2n^2) [tr((Sigma_X+I)^-1) - n^2
+    + log det(Sigma_X+I)] and per-node MI = (1/2n^2) log det(Sigma_X+I),
+    via a Cholesky factorization: the defining Gaussian formulas, with no
+    spectral shortcut.  Restricted to n <= 12.
+    """
+    if n > _DENSE_N_MAX:
+        raise ValueError(f"dense route limited to n <= {_DENSE_N_MAX}, got {n}")
+    if snr == 0.0:
+        return 0.0, 0.0
+    omega = 2.0 * math.pi * np.arange(n) / n
+    denom = 1.0 - 2.0 * zeta * (np.cos(omega)[:, None] + np.cos(omega)[None, :])
+    eigs = snr / ((1.0 + _cnorm_minus_one(zeta)) * denom)
+    gen = np.real(np.fft.ifft2(eigs))  # circulant generator r[di, dj]
+    idx = np.arange(n)
+    diff = (idx[:, None] - idx[None, :]) % n
+    cov = gen[diff[:, None, :, None], diff[None, :, None, :]].reshape(n * n, n * n)
+    chol = np.linalg.cholesky(cov + np.eye(n * n))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    chol_inv = np.linalg.solve(chol, np.eye(n * n))
+    trace_inv = float(np.sum(chol_inv * chol_inv))
+    nn = n * n
+    return 0.5 * (trace_inv - nn + logdet) / nn, 0.5 * logdet / nn
+
+
+_DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937510582")
+
+
+def _decimal_cos(x: Decimal) -> Decimal:
+    # Taylor series, for |x| <= 2 pi at the context precision
+    term = total = Decimal(1)
+    j = 0
+    while True:
+        j += 2
+        term *= -x * x / (j * (j - 1))
+        if total + term == total:
+            return total
+        total += term
+
+
+def torus_rates_decimal(zeta: float, snr: float, n: int) -> tuple[float, float]:
+    """(kli, mi) per node on the n x n torus, summed in 40-digit decimal
+    arithmetic over all n^2 DFT frequencies, with no fold and no closed
+    form: 0.5 ln(1 + s) - 0.5 s / (1 + s) and 0.5 ln(1 + s) averaged,
+    s = snr / (c (1 - 2 zeta (cos w1 + cos w2))) and c = (2/pi) K(4 zeta)
+    rounded to a double.  For small n: the cost is n^2 logarithms."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        cnorm = Decimal(1.0 + _cnorm_minus_one(zeta))
+        z, sn = Decimal(zeta), Decimal(snr)
+        cos = [_decimal_cos(2 * _DECIMAL_PI * k / n) for k in range(n)]
+        kli = mi = Decimal(0)
+        for c1 in cos:
+            for c2 in cos:
+                s = sn / (cnorm * (1 - 2 * z * (c1 + c2)))
+                log = (1 + s).ln()
+                mi += log
+                kli += log - s / (1 + s)
+        return float(kli / (2 * n * n)), float(mi / (2 * n * n))
 
 
 def kli_rate_1d(zeta: float, snr: float) -> float:

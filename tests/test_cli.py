@@ -19,9 +19,11 @@ import sfcar.cli
 from sfcar.cli import main
 from sfcar.correlation import PhysicalEnvironment, zeta_of_spacing
 from sfcar.density import N_MAX_CAP, Objective, ScenarioConfig, optimize, sweep
-from sfcar.lattice import TORUS_N_MAX, TorusSpec, dense_gaussian_rates
+from sfcar.lattice import TORUS_N_MAX
 from sfcar.network import Deployment, EnergyModel
 from sfcar.rates import info_rates
+
+from oracles import dense_gaussian_rates
 
 PAPER_ARGS = ["--L", "1", "--E", "50", "--alpha", "100", "--beta", "1", "--E0", "0.1", "--nu", "2"]
 
@@ -253,9 +255,9 @@ class TestValidateCommand:
         code, out = run(capsys, ["validate", "--zeta", "0.2", "--snr-db", "10",
                                  "--N", "8", "--format", "json"])
         record = json.loads(out)[0]
-        dense = dense_gaussian_rates(0.2, 10.0, TorusSpec(8))
-        assert record["kli_torus"] == pytest.approx(dense.kli, abs=1e-10)
-        assert record["mi_torus"] == pytest.approx(dense.mi, abs=1e-10)
+        kli, mi = dense_gaussian_rates(0.2, 10.0, 8)
+        assert record["kli_torus"] == pytest.approx(kli, abs=1e-10)
+        assert record["mi_torus"] == pytest.approx(mi, abs=1e-10)
 
     def test_domain_violation_exits_2(self, capsys):
         assert main(["validate", "--zeta", "0.25", "--snr-db", "0", "--N", "8"]) == 2
@@ -277,8 +279,8 @@ class TestValidateCommand:
 
 
 class TestImportGraph:
-    # NumPy serves the finite-lattice oracles alone; a fresh interpreter
-    # runs every other command without loading it
+    # the library is plain Python: a fresh interpreter runs every command,
+    # the torus oracle included, without loading NumPy
     SCRIPT = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -295,20 +297,20 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         seen[argv[0]] = main(argv)
-seen["numpy_before_validate"] = "numpy" in sys.modules
 seen["loaded"] = sorted({{"dataclasses", "json"}} & (set(sys.modules) - before))
 import json
 with contextlib.redirect_stdout(io.StringIO()):
     seen["validate"] = main(["validate", "--zeta", "0.2", "--snr-db", "0", "--N", "8"])
-from sfcar import TorusSpec, dense_gaussian_rates, torus_rates
+from sfcar import TorusSpec, torus_rates
 seen["lattice_names"] = torus_rates(0.2, 1.0, TorusSpec(8)) == sfcar.torus_rates(
-    0.2, 1.0, sfcar.TorusSpec(8)) and dense_gaussian_rates.__module__ == "sfcar.lattice"
+    0.2, 1.0, sfcar.TorusSpec(8)) and "dense_gaussian_rates" not in sfcar.__all__
+seen["numpy_never_loaded"] = "numpy" not in sys.modules
 print(json.dumps(seen))
 """
 
     # nor does the library or a CSV run load dataclasses or json: the
     # records are namedtuples, and json serves --format json and --config
-    def test_numpy_loaded_only_by_validate(self):
+    def test_no_command_loads_numpy(self):
         env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
         done = subprocess.run(
             [sys.executable, "-c", self.SCRIPT.format(paper=PAPER_ARGS)],
@@ -317,45 +319,40 @@ print(json.dumps(seen))
         assert done.returncode == 0, done.stderr
         seen = json.loads(done.stdout)
         assert seen == {
-            "rates": 0, "map": 0, "sweep": 0, "optimize": 0,
-            "numpy_before_validate": False, "loaded": [], "validate": 0,
-            "lattice_names": True,
+            "rates": 0, "map": 0, "sweep": 0, "optimize": 0, "loaded": [],
+            "validate": 0, "lattice_names": True, "numpy_never_loaded": True,
         }
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError):
             sfcar.no_such_name  # noqa: B018
 
-    # validate sets OPENBLAS_NUM_THREADS=1 for its own process before NumPy
-    # loads, unless the user set it; importing the library sets nothing
-    BLAS_SCRIPT = """
-import contextlib, io, json, os
-import sfcar, sfcar.cli
-seen = {"after_import": os.environ.get("OPENBLAS_NUM_THREADS")}
+    # validate runs without NumPy and sets no BLAS variable: whatever the
+    # caller put in OPENBLAS_NUM_THREADS is left as it was
+    VALIDATE_SCRIPT = """
+import contextlib, io, json, os, sys
+import sfcar.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    seen["validate"] = sfcar.cli.main(["validate", "--zeta", "0.2", "--snr-db", "0", "--N", "8"])
-seen["after_validate"] = os.environ.get("OPENBLAS_NUM_THREADS")
-print(json.dumps(seen))
+    code = sfcar.cli.main(["validate", "--zeta", "0.2", "--snr-db", "0", "--N", "8", "4096"])
+print(json.dumps({"validate": code, "numpy": "numpy" in sys.modules,
+                  "blas": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
 
     @pytest.mark.parametrize("preset", [None, "2"])
-    def test_validate_keeps_openblas_to_one_thread(self, preset):
+    def test_validate_leaves_numpy_and_blas_alone(self, preset):
         env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
         env.pop("OPENBLAS_NUM_THREADS", None)
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
         done = subprocess.run(
-            [sys.executable, "-c", self.BLAS_SCRIPT],
+            [sys.executable, "-c", self.VALIDATE_SCRIPT],
             capture_output=True, text=True, env=env, check=False, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == {
-            "after_import": preset, "validate": 0, "after_validate": preset or "1",
-        }
+        assert json.loads(done.stdout) == {"validate": 0, "numpy": False, "blas": preset}
 
-
-    # the library exports the lattice oracles as plain names, and neither
-    # they nor their module load NumPy until an oracle is called
+    # the library exports the torus oracle as plain names, and neither it
+    # nor its module loads NumPy
     @pytest.mark.parametrize(
         "code",
         [

@@ -1,69 +1,40 @@
 import math
-import tracemalloc
 
-import numpy as np
 import pytest
 
 import sfcar
 from sfcar import kernels
+from sfcar.lattice import TorusSpec, torus_rates
+
+from oracles import torus_grid_rates, torus_rates_decimal
 
 
-def random_grid(rng, n):
-    nodes = rng.uniform(0.0, math.pi, size=n)
-    weights = rng.uniform(0.0, 0.1, size=n)
-    return np.cos(nodes), weights
+def folded_rows(n):
+    rows = [math.sin(math.pi * j / n) ** 2 for j in range(n // 2 + 1)]
+    weights = [(1.0 if j == 0 or 2 * j == n else 2.0) / n for j in range(len(rows))]
+    return rows, weights
 
 
-def single_block_sums(cos1, w1, cos2, w2, zeta, snr, cnorm):
-    # the whole grid in one temporary, summed in a different order
-    s = snr / (cnorm * (1.0 - 2.0 * zeta * (cos1[:, None] + cos2[None, :])))
-    m = 0.5 * np.log1p(s)
-    k = m - 0.5 * s / (1.0 + s)
-    return float(w1 @ k @ w2), float(w1 @ m @ w2)
+class TestClosedForm:
+    # MI and KL of the closed form against the NumPy grid sum over the
+    # folded N x N grid, which sums both axes term by term; the grid's KL
+    # subtracts its two integrands and is good to about 1e-16 / s
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 17, 64, 511, 512, 4096])
+    def test_matches_grid_oracle(self, n):
+        for zeta in (0.0, 5e-324, 0.1, 0.2, 0.2499, 0.25 - 1e-12):
+            for snr in (1e-6, 1e-3, 1.0, 1e2, 1e4):
+                rates = torus_rates(zeta, snr, TorusSpec(n))
+                kli, mi = torus_grid_rates(zeta, snr, n)
+                assert rates.mi == pytest.approx(mi, rel=1e-12, abs=0.0)
+                assert rates.kli == pytest.approx(kli, rel=1e-9, abs=0.0)
 
-
-class TestBlockedSum:
-    @pytest.mark.parametrize("zeta,snr", [(0.0, 1.0), (0.2, 10.0), (0.2499, 1e-4)])
-    def test_many_blocks_match_single_block(self, zeta, snr, monkeypatch):
-        rng = np.random.default_rng(42)
-        cos1, w1 = random_grid(rng, 257)
-        cos2, w2 = random_grid(rng, 129)
-        cnorm = 1.0 if zeta == 0.0 else 1.3
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1000)  # 7 rows a block
-        blocked = kernels.rate_sums(cos1, w1, cos2, w2, zeta, snr, cnorm)
-        single = single_block_sums(cos1, w1, cos2, w2, zeta, snr, cnorm)
-        for a, b in zip(blocked, single):
-            assert a == pytest.approx(b, rel=5e-13)
-
-    def test_default_blocks_match_on_large_grid(self):
-        # 2100^2 points exceed one default block
-        n = 2100
-        assert n * n > kernels._BLOCK_ELEMENTS
-        omega = 2.0 * np.pi * np.arange(n) / n
-        w = np.full(n, 1.0 / n)
-        c = np.cos(omega)
-        blocked = kernels.rate_sums(c, w, c, w, 0.15, 2.0, 1.1)
-        single = single_block_sums(c, w, c, w, 0.15, 2.0, 1.1)
-        for a, b in zip(blocked, single):
-            assert a == pytest.approx(b, rel=5e-13)
-
-    def test_long_rows_in_column_blocks(self):
-        # rows longer than 2^14 are summed in blocks of 4 rows by 2^12
-        # columns (10 here), so the temporaries stay near 128 KB each
-        rng = np.random.default_rng(7)
-        cos1, w1 = random_grid(rng, 3)
-        cos2, w2 = random_grid(rng, 40_000)
-        assert cos2.size > kernels._BLOCK_ELEMENTS // 2
-        tracemalloc.start()
-        try:
-            blocked = kernels.rate_sums(cos1, w1, cos2, w2, 0.2, 10.0, 1.3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        single = single_block_sums(cos1, w1, cos2, w2, 0.2, 10.0, 1.3)
-        for a, b in zip(blocked, single):
-            assert a == pytest.approx(b, rel=5e-13)
-        assert peak < 2**20
+    def test_low_snr_pin_against_decimal(self):
+        # KL is O(SNR^2) while each of its integrands is O(SNR); the row
+        # terms must carry no cancellation for KL to keep its digits
+        kli, mi = torus_rates_decimal(0.12459, 1.15e-6, 4)
+        rates = torus_rates(0.12459, 1.15e-6, TorusSpec(4))
+        assert rates.kli == pytest.approx(kli, rel=1e-13, abs=0.0)
+        assert rates.mi == pytest.approx(mi, rel=1e-13, abs=0.0)
 
 
 class TestDispatch:
@@ -71,19 +42,32 @@ class TestDispatch:
         assert sfcar.backend_name() == "python"
 
     def test_dispatch_callable(self):
-        c = np.cos(np.linspace(0.1, 3.0, 16))
-        w = np.full(16, 0.05)
-        kli, mi = kernels.rate_sums(c, w, c, w, 0.1, 1.0, 1.05)
+        # the column axis is passed as range(N), whose length gives N
+        rows, weights = folded_rows(16)
+        kli, mi = kernels.rate_sums(rows, weights, range(16), 0.1, 1.0, 1.05)
         assert 0.0 < kli < mi
 
     def test_deterministic(self):
-        c = np.cos(np.linspace(0.0, math.pi, 64))
-        w = np.full(64, 1.0 / 64.0)
-        a = kernels.rate_sums(c, w, c, w, 0.22, 5.0, 1.4)
-        b = kernels.rate_sums(c, w, c, w, 0.22, 5.0, 1.4)
+        rows, weights = folded_rows(64)
+        a = kernels.rate_sums(rows, weights, range(64), 0.22, 5.0, 1.4)
+        b = kernels.rate_sums(rows, weights, range(64), 0.22, 5.0, 1.4)
         assert a == b
 
     def test_zero_snr_sums(self):
-        c = np.cos(np.linspace(0.0, math.pi, 8))
-        w = np.full(8, 0.125)
-        assert kernels.rate_sums(c, w, c, w, 0.2, 0.0, 1.3) == (0.0, 0.0)
+        rows, weights = folded_rows(8)
+        assert kernels.rate_sums(rows, weights, range(8), 0.2, 0.0, 1.3) == (0.0, 0.0)
+
+    def test_called_through_module_attribute(self, monkeypatch):
+        # torus_rates looks kernels.rate_sums up at call time, so a wrapper
+        # put there sees the (N // 2 + 1) x N grid of each call
+        seen = []
+        original = kernels.rate_sums
+
+        def wrapper(rows, weights, columns, *args):
+            seen.append(len(rows) * len(columns))
+            return original(rows, weights, columns, *args)
+
+        monkeypatch.setattr(kernels, "rate_sums", wrapper)
+        torus_rates(0.2, 1.0, TorusSpec(9))
+        torus_rates(0.2, 1.0, TorusSpec(512))
+        assert seen == [5 * 9, 257 * 512]

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sfcar import kernels
 from sfcar.errors import DomainError
-from sfcar.lattice import TORUS_N_MAX, TorusSpec, dense_gaussian_rates, torus_rates
+from sfcar.lattice import TORUS_N_MAX, TorusSpec, torus_rates
 from sfcar.rates import info_rates
 from sfcar.special import complete_elliptic_k
+
+from oracles import dense_gaussian_rates, tensor_rate_sums
 
 # Exponential spectral convergence reaches double precision quickly, so gap
 # sequences are compared down to an absolute accumulation-noise floor.
@@ -17,13 +18,18 @@ GAP_FLOOR = 1e-10
 
 class TestTorusRates:
     def test_white_field_exact_at_any_n(self):
-        for n in (2, 7, 64):
-            rates = torus_rates(0.0, 1.0, TorusSpec(n))
-            assert rates.mi == pytest.approx(0.5 * math.log(2.0), rel=1e-14)
+        # at zeta = 0 every row is the same and the finite-N terms vanish
+        for n in (2, 7, 64, 4096):
+            for snr in (1e-6, 1.0, 1e4):
+                rates = torus_rates(0.0, snr, TorusSpec(n))
+                assert rates.mi == pytest.approx(0.5 * math.log1p(snr), rel=1e-14)
+                kli = 0.5 * (math.log1p(snr) - snr / (1.0 + snr))
+                assert rates.kli == pytest.approx(kli, rel=1e-9)
 
     def test_zero_snr(self):
-        rates = torus_rates(0.1, 0.0, TorusSpec(16))
-        assert (rates.kli, rates.mi) == (0.0, 0.0)
+        for zeta in (0.0, 0.1, 0.25 - 1e-12):
+            rates = torus_rates(zeta, 0.0, TorusSpec(16))
+            assert (rates.kli, rates.mi) == (0.0, 0.0)
 
     def test_gap_shrinks_with_n(self):
         quad = info_rates(0.2, 10.0)
@@ -55,8 +61,9 @@ class TestTorusRates:
         omega = 2.0 * np.pi * np.arange(n) / n
         shifted = np.where(omega > np.pi, omega - 2.0 * np.pi, omega)
         w = np.full(n, 1.0 / n)
-        a = kernels.rate_sums(np.cos(omega), w, np.cos(omega), w, zeta, snr, cnorm)
-        b = kernels.rate_sums(np.cos(shifted), w, np.cos(shifted), w, zeta, snr, cnorm)
+        half, half_shifted = np.sin(0.5 * omega) ** 2, np.sin(0.5 * shifted) ** 2
+        a = tensor_rate_sums(half, w, half, w, zeta, snr, cnorm)
+        b = tensor_rate_sums(half_shifted, w, half_shifted, w, zeta, snr, cnorm)
         assert a[0] == pytest.approx(b[0], rel=1e-14)
         assert a[1] == pytest.approx(b[1], rel=1e-14)
 
@@ -76,8 +83,8 @@ class TestTorusRates:
         assert rates.mi == pytest.approx(mi, rel=1e-13, abs=0)
 
     def test_memory_does_not_grow_with_grid(self):
-        # the folded 2049^2 grid is summed in cache-sized blocks; the
-        # whole grid as one temporary would be 34 MB
+        # the folded 2049^2 grid is summed one row at a time in closed
+        # form; the whole grid as one array would be 34 MB
         tracemalloc.start()
         try:
             torus_rates(0.2, 1.0, TorusSpec(4096))
@@ -101,27 +108,25 @@ class TestTorusRates:
 class TestDenseGaussianRates:
     def test_white_field_closed_form(self):
         # Sigma_X = 2 I at zeta = 0, snr = 2: every eigenvalue is 2
-        rates = dense_gaussian_rates(0.0, 2.0, TorusSpec(4))
-        assert rates.kli == pytest.approx(0.5 * (math.log(3.0) + 1.0 / 3.0 - 1.0), abs=1e-12)
-        assert rates.mi == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
+        kli, mi = dense_gaussian_rates(0.0, 2.0, 4)
+        assert kli == pytest.approx(0.5 * (math.log(3.0) + 1.0 / 3.0 - 1.0), abs=1e-12)
+        assert mi == pytest.approx(0.5 * math.log(3.0), abs=1e-12)
 
     def test_zero_snr(self):
-        rates = dense_gaussian_rates(0.13, 0.0, TorusSpec(4))
-        assert (rates.kli, rates.mi) == (0.0, 0.0)
+        assert dense_gaussian_rates(0.13, 0.0, 4) == (0.0, 0.0)
 
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2, 0.24])
     @pytest.mark.parametrize("snr", [0.5, 1.0, 5.0])
     def test_matches_eigenvalue_route(self, zeta, snr):
-        spec = TorusSpec(8)
-        dense = dense_gaussian_rates(zeta, snr, spec)
-        torus = torus_rates(zeta, snr, spec)
-        assert dense.kli == pytest.approx(torus.kli, abs=1e-10)
-        assert dense.mi == pytest.approx(torus.mi, abs=1e-10)
+        kli, mi = dense_gaussian_rates(zeta, snr, 8)
+        torus = torus_rates(zeta, snr, TorusSpec(8))
+        assert kli == pytest.approx(torus.kli, abs=1e-10)
+        assert mi == pytest.approx(torus.mi, abs=1e-10)
 
     def test_size_limit(self):
-        with pytest.raises(DomainError):
-            dense_gaussian_rates(0.1, 1.0, TorusSpec(13))
+        with pytest.raises(ValueError):
+            dense_gaussian_rates(0.1, 1.0, 13)
 
     def test_ordering_inherited(self):
-        rates = dense_gaussian_rates(0.2, 1.0, TorusSpec(6))
-        assert 0.0 < rates.kli < rates.mi
+        kli, mi = dense_gaussian_rates(0.2, 1.0, 6)
+        assert 0.0 < kli < mi

@@ -4,7 +4,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from sfcar import kernels
 from sfcar.errors import DomainError
 from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.rates import (
@@ -23,6 +22,7 @@ from oracles import (
     low_snr_kli,
     mi_rate_1d,
     spectral_ratio,
+    tensor_rate_sums,
 )
 
 
@@ -166,10 +166,8 @@ class TestProperties:
             nodes = (half * (x + 1.0) + edges[:-1, None]).ravel()
             weights = (half * w).ravel()
             cnorm = (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)
-            cos_nodes = np.cos(nodes)
-            kli, mi = kernels.rate_sums(
-                cos_nodes, weights, cos_nodes, weights, zeta, snr, cnorm
-            )
+            half = np.sin(0.5 * nodes) ** 2
+            kli, mi = tensor_rate_sums(half, weights, half, weights, zeta, snr, cnorm)
             rates = info_rates(zeta, snr)
             assert rates.kli == pytest.approx(kli / math.pi**2, rel=1e-12, abs=0.0)
             assert rates.mi == pytest.approx(mi / math.pi**2, rel=1e-12, abs=0.0)
