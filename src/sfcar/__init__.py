@@ -38,7 +38,7 @@ from sfcar.network import (
     total_information,
 )
 from sfcar.rates import InfoRates, info_rates
-from sfcar.special import bessel_k1, complete_elliptic_e, complete_elliptic_k
+from sfcar.special import bessel_k1, complete_elliptic_k
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "backend_name",
     "bessel_k1",
     "comm_energy_per_edge",
-    "complete_elliptic_e",
     "complete_elliptic_k",
     "Deployment",
     "DomainError",

@@ -136,9 +136,10 @@ def feasibility_boundary(config: ScenarioConfig) -> int:
     so small n can be infeasible below that interval.  The boundary is the
     first infeasible n with f(n) < f(n + 1): f rises from there on.  The
     comparison is strict so that two energies that both overflow to inf
-    do not end the scan.
+    do not end the scan.  It stops short of N_MAX_CAP, the answer there
+    either way, so no lattice past the cap is ever built.
     """
-    for n in range(config.n_min, N_MAX_CAP + 1):
+    for n in range(config.n_min, N_MAX_CAP):
         deployment = Deployment(config.half_width, n)
         try:
             sensing_energy_per_node(config.energy, deployment)

@@ -6,11 +6,13 @@ prod_k (x - cos 2 pi k / N) = 2^(1-N) (T_N(x) - 1) sums each row in
 closed form, so only the rows are visited: O(N) work in plain Python.
 
 Work in units of c = (2/pi) K(4 zeta) and put sigma = SNR/c.  A row with
-sin^2(w1/2) = s has A0 - B = g = delta + 4 zeta s, A0 + B = k = 1 + 4 zeta s
-and A1 = A0 + sigma, with B = 2 zeta and delta = 1 - 4 zeta; r0, r1, x and
-the KL bracket log1p(x) - sigma/r1 are those of `sfcar.rates`.  With
-cosh(2 h/N) = A/B the row's log-sum is N log(B/2) + 2 log 2 + 2 log sinh h,
-and its sum of 1/(A - B cos w2) is N coth(h)/r.  So
+sin^2(w1/2) = s has A0 - B = g = delta + 4 zeta s and A0 + B = k =
+1 + 4 zeta s, with B = 2 zeta and delta = 1 - 4 zeta; A1 = A0 + sigma,
+r0, x and the KL bracket are those of `sfcar.rates`, whose `_terms`
+evaluates them row by row.  Only the finite-N terms are derived here.
+With cosh(2 h/N) = A/B for A = A0, A1 (h = h0, h1) the row's log-sum is
+N log(B/2) + 2 log 2 + 2 log sinh h and its sum of 1/(A - B cos w2) is
+N coth(h)/r.  So
 
     h0 = (N/2) asinh(r0 / (2 zeta)),  D = h1 - h0 = (N/2) log1p(x),
     row MI = (N/2) log1p(x) - log1p(-u),
@@ -20,24 +22,17 @@ with u = e^(-2 h0) (1 - e^(-2D)) / (1 - e^(-2 h1)) and p = 1/expm1(2 h1);
 u = p expm1(2D).  The finite-N terms are exponentially small in h0, which
 is about N sqrt(delta) on the first row.  All three KL terms are >= 0 and
 each is taken without cancellation, so KL keeps its digits as SNR -> 0:
-the bracket as in `sfcar.rates`, the other two by their series where they
+the bracket by `sfcar.rates`, the other two by their series where they
 are O(D^2).  The subtraction of the whole trace from MI would lose them.
 """
 
 import math
 
-from sfcar.rates import _C3, _C5, _C7, _C9, _C11, _C13, _C15
+from sfcar.rates import _atanh_tail, _terms
 
 # 1/n! for n = 2..12: expm1(t) - t in Horner form, below 1e-19 of the sum
 # once truncated for t <= 0.1.
 _EXP_TAIL = tuple(1.0 / math.factorial(n) for n in range(12, 1, -1))
-
-
-def _atanh_tail(y: float) -> float:
-    # 2 atanh(y) - 2 y for |y| <= 0.053, truncated as in `sfcar.rates`
-    y2 = y * y
-    series = _C11 + y2 * (_C13 + y2 * _C15)
-    return y * y2 * (_C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series))))
 
 
 def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
@@ -54,26 +49,11 @@ def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
     delta = 1.0 - 4.0 * zeta
     sigma = snr / cnorm
     inv_b = 0.5 / zeta if zeta else math.inf
-    sqrt, log1p, exp, expm1, asinh = math.sqrt, math.log1p, math.exp, math.expm1, math.asinh
+    log1p, exp, expm1, asinh = math.log1p, math.exp, math.expm1, math.asinh
+    four_zeta = 4.0 * zeta
+    nodes = ((delta + four_zeta * s2, 1.0 + four_zeta * s2, w) for s2, w in zip(rows, weights))
     kli = mi = 0.0
-    for s2, weight in zip(rows, weights):
-        h = 4.0 * zeta * s2
-        g = delta + h
-        k = 1.0 + h
-        a = 0.5 * (g + k)
-        r0 = sqrt(g * k)
-        r1 = sqrt(g + sigma) * sqrt(k + sigma)
-        v = a + r0
-        rsum = r0 + r1
-        x = (sigma / v) * (1.0 + (a + a + sigma) / rsum)
-        m = log1p(x)
-        if x > 0.1:
-            bracket = m - sigma / r1
-        else:
-            a1 = a + sigma
-            y = x / (2.0 + x)
-            head = sigma * sigma * ((a + a1) * (1.0 + a1 / rsum) + r0) / (v * r1 * rsum)
-            bracket = head + _atanh_tail(y) - x * y
+    for weight, r0, m, bracket in _terms(nodes, sigma):
         # the finite-N corrections, from h0, h1 and D = h1 - h0
         h0 = half_n * asinh(r0 * inv_b)
         d = half_n * m

@@ -16,14 +16,15 @@ is summed over all N frequencies in closed form (see `sfcar.kernels`), so
 the cost is O(N) and needs no array library.
 
 Per node, the result is the N-point trapezoid rule in w1 for the
-one-dimensional integrals of `sfcar.rates`, plus finite-N terms from the
-column sums in h0 = (N/2) asinh(r0 / 2 zeta), about N sqrt(delta) on the
-first row, delta = 1 - 4 zeta.  MI gains -log1p(-u)/N with u <= e^(-2 h0);
-KL gains the coth(h1) - 1 share of its bracket and two terms of order u^2
-and u.  Both the rule's error and these terms are exponentially small in
-N sqrt(delta), which is why the torus converges to the asymptotic rates
-that fast, and why it does not once the lattice is shorter than a
-correlation length.
+one-dimensional integrals of `sfcar.rates`, whose integrand (r0, x and
+the KL bracket) is evaluated by the same code, plus finite-N terms from
+the column sums in h0 = (N/2) asinh(r0 / 2 zeta), about N sqrt(delta) on
+the first row, delta = 1 - 4 zeta.  MI gains -log1p(-u)/N with
+u <= e^(-2 h0); KL gains the coth(h1) - 1 share of its bracket and two
+terms of order u^2 and u.  Both the rule's error and these terms are
+exponentially small in N sqrt(delta), which is why the torus converges
+to the asymptotic rates that fast, and why it does not once the lattice
+is shorter than a correlation length.
 """
 
 import math

@@ -35,7 +35,9 @@ x = (sigma/v)(1 + (A0 + A1)/(r0 + r1)) with v = A0 + r0, and the KL
 bracket is log1p(x) - sigma/r1.  It is O(SNR^2) at low SNR; where
 x <= 0.1 it is summed as the two cancellation-free terms
 x - sigma/r1 = sigma^2 ((A0 + A1)(1 + A1/(r0 + r1)) + r0) / (v r1 (r0 + r1))
-and log1p(x) - x.
+and log1p(x) - x.  `_terms` evaluates this integrand at a sequence of
+nodes (g, k, weight); its two consumers are the quadrature rule below and
+the rows of the torus oracle (`sfcar.kernels`).
 
 Quadrature: one fixed Gauss-Legendre rule in a single pass.  With
 t = tan(w/2), g = (delta + t^2)/(1 + t^2), so the integrand peaks at
@@ -101,9 +103,18 @@ def info_rates(zeta: float, snr: float) -> InfoRates:
     if snr == 0.0 or delta == 0.0:
         return InfoRates(0.0, 0.0)
     sigma = snr / _spectral_norm(zeta)
-    sqrt, log1p = math.sqrt, math.log1p
     kli = mi = 0.0
-    for g, k, weight in _rule(delta):
+    for weight, _, m, bracket in _terms(_rule(delta), sigma):
+        mi += weight * m
+        kli += weight * bracket
+    return InfoRates(max(kli / (2.0 * math.pi), 0.0), max(mi / (2.0 * math.pi), 0.0))
+
+
+def _terms(nodes, sigma: float):
+    """Yield (weight, r0, log1p(x), bracket) at each (g, k, weight) of
+    nodes: g = (A0 - B)/c, k = (A0 + B)/c and the node's weight."""
+    sqrt, log1p = math.sqrt, math.log1p
+    for g, k, weight in nodes:
         a = 0.5 * (g + k)
         r0 = sqrt(g * k)
         r1 = sqrt(g + sigma) * sqrt(k + sigma)
@@ -111,18 +122,20 @@ def info_rates(zeta: float, snr: float) -> InfoRates:
         rsum = r0 + r1
         x = (sigma / v) * (1.0 + (a + a + sigma) / rsum)
         m = log1p(x)
-        mi += weight * m
         if x > 0.1:
-            kli += weight * (m - sigma / r1)
+            yield weight, r0, m, m - sigma / r1
             continue
         a1 = a + sigma
-        y = x / (2.0 + x)
-        y2 = y * y
-        series = _C11 + y2 * (_C13 + y2 * _C15)
-        series = _C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series)))
         head = sigma * sigma * ((a + a1) * (1.0 + a1 / rsum) + r0) / (v * r1 * rsum)
-        kli += weight * (head + y * y2 * series - x * x / (2.0 + x))
-    return InfoRates(max(kli / (2.0 * math.pi), 0.0), max(mi / (2.0 * math.pi), 0.0))
+        yield weight, r0, m, head + _atanh_tail(x / (2.0 + x)) - x * x / (2.0 + x)
+
+
+def _atanh_tail(y: float) -> float:
+    # 2 atanh(y) - 2 y for |y| <= 0.053: log1p(x) - x = 2 atanh(y) - 2 y - x y
+    # with y = x / (2 + x)
+    y2 = y * y
+    series = _C11 + y2 * (_C13 + y2 * _C15)
+    return y * y2 * (_C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series))))
 
 
 def _check_zeta_snr(zeta: float, snr: float) -> None:

@@ -19,8 +19,7 @@ c_n, it also gives (1 - pi/(2K)) / k = (sum_{n>=1} c_n) / k, the
 quantity behind the correlation map, as a sum of positive terms free of
 cancellation, and E = K (1 - sum_n 2^(n-1) c_n^2), whose difference
 loses about log10(K) digits as k -> 1 (relative error under 1e-14).
-complete_elliptic_k and complete_elliptic_e check the modulus and
-return its K and E.
+complete_elliptic_k checks the modulus and returns its K.
 K_1 uses the ascending series with logarithmic term for x <= 2 and
 Steed's continued fraction for x > 2; both branches agree to ~1e-15 at
 the seam, comfortably inside the 1e-10 contract on [1e-8, 700].
@@ -41,18 +40,6 @@ def complete_elliptic_k(k: float) -> float:
     if not 0.0 <= k < 1.0:
         raise DomainError(f"elliptic modulus must satisfy 0 <= k < 1, got {k!r}")
     return elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[0]
-
-
-def complete_elliptic_e(k: float) -> float:
-    """Complete elliptic integral of the second kind, modulus convention.
-
-    E(1) = 1.  Raises DomainError outside 0 <= k <= 1.
-    """
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"elliptic modulus must satisfy 0 <= k <= 1, got {k!r}")
-    if k == 1.0:
-        return 1.0
-    return elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[1]
 
 
 def elliptic_agm(k: float, kc: float) -> tuple[float, float, float]:

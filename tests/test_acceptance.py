@@ -232,6 +232,11 @@ def test_criterion_09_hop_count_identity():
 # N K0((E - C(n))/N) has a single maximum.  The correlation-driven maximum
 # the chain does give sits near n ~ 150 (rho ~ 0.76, SNR ~ 1e-3), which the
 # E = 50 budget cannot reach (its feasibility boundary is n = 124).
+# Those second maxima sit where the array is about one correlation length
+# wide: N sqrt(delta), with N = 2n + 1 and delta = 1 - 4 zeta, is 1.13, 1.24
+# and 1.43 at n = 157, 155 and 152 (E = 100, 150, 200).  There the
+# asymptotic per-node rate, the N -> infinity limit, is a poor model of a
+# finite array (ROADMAP item 4).
 # Rows with rho > 0.9 are not compared: zeta is documented to resolve to 1/4
 # above rho ~ 0.9205, and both sides lose digits of 1/4 - zeta before that.
 CHAIN_RHO_MAX = 0.9

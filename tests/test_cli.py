@@ -150,6 +150,16 @@ class TestSweepCommand:
         assert [r["feasible"] for r in records] == [True, False, False]
         assert records[1]["e_s"] is None
 
+    def test_boundary_scan_stays_within_the_cap(self, capsys):
+        # --L is checked at n = N_MAX_CAP; n = N_MAX_CAP + 1 would overflow
+        code, out = run(capsys, ["sweep", "--L", "3.737e-152", "--E", "279862545.9264864",
+                                 "--alpha", "100", "--beta", "1", "--E0", "1e308", "--nu", "2",
+                                 "--n-min", "490", "--format", "json"])
+        assert code == 0
+        records = json.loads(out)
+        assert [r["n"] for r in records] == list(range(490, N_MAX_CAP + 1))
+        assert records[-1]["feasible"] is False
+
     def test_density_bounds_convert_inward(self, capsys):
         # mu in [20, 130] with L=1: 2n+1 in [sqrt(80), sqrt(520)] -> n in [4, 10]
         code, out = run(capsys, ["sweep", *PAPER_ARGS, "--mu-min", "20", "--mu-max", "130",

@@ -129,6 +129,17 @@ class TestSweep:
         with pytest.raises(NoFeasibleDensityError):
             optimize(cfg)
 
+    def test_boundary_builds_no_lattice_past_the_cap(self):
+        # L is in range at n = N_MAX_CAP but not at N_MAX_CAP + 1, where the
+        # density overflows; every n in 490 .. 499 is feasible
+        cfg = ScenarioConfig(
+            half_width=3.737e-152,
+            energy=EnergyModel(total_energy=279862545.9264864, e0=1e308, nu=2.0, beta=1.0),
+            environment=PhysicalEnvironment(alpha=100.0),
+            n_min=490,
+        )
+        assert feasibility_boundary(cfg) == N_MAX_CAP
+
     def test_deterministic(self):
         cfg = paper_scenario(n_min=1, n_max=30)
         assert sweep(cfg) == sweep(cfg)

@@ -10,6 +10,7 @@ from sfcar.rates import (
     _GAUSS,
     _rule,
     _spectral_norm,
+    _terms,
     InfoRates,
     info_rates,
 )
@@ -194,6 +195,34 @@ def _gauss_legendre_12():
                 x -= p * (x * x - 1) / (n * (x * p - p_prev))  # P_n / P_n'
             rule.append((float(x), float(2 * (1 - x * x) / (n * p_prev) ** 2)))
     return sorted(rule)
+
+
+class TestBracketSeam:
+    # The KL bracket switches from log1p(x) - sigma/r1 to its series form at
+    # x = 0.1.  At each node (g, k) sigma is put just below and just above
+    # the seam, found in closed form: with A1 = a + sigma, r1 =
+    # sqrt((g + sigma)(k + sigma)) and v = a + r0, A1 + r1 = 1.1 v at
+    # sigma = (c^2 - g k) / (2 (a + c)), c = 1.1 v - a.  Both values are
+    # checked against 50-digit decimal arithmetic (worst seen 5.5e-15 over
+    # 156 points).
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2, 0.2499, float(np.nextafter(0.25, 0.0))])
+    def test_matches_decimal_on_both_sides(self, zeta):
+        for g, k, weight in _rule(1.0 - 4.0 * zeta)[::4]:
+            a, r0 = 0.5 * (g + k), math.sqrt(g * k)
+            c = 1.1 * (a + r0) - a
+            seam = (c * c - g * k) / (2.0 * (a + c))
+            for sigma, above in ((seam * (1.0 - 1e-9), False), (seam * (1.0 + 1e-9), True)):
+                ((_, _, m, bracket),) = _terms([(g, k, weight)], sigma)
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    dg, dk, ds = Decimal(g), Decimal(k), Decimal(sigma)
+                    r1 = ((dg + ds) * (dk + ds)).sqrt()
+                    ratio = ((dg + dk) / 2 + ds + r1) / ((dg + dk) / 2 + (dg * dk).sqrt())
+                    exact_m = ratio.ln()
+                    exact_bracket = exact_m - ds / r1
+                    assert (ratio - 1 > Decimal("0.1")) == above
+                assert m == pytest.approx(float(exact_m), rel=2e-14, abs=0.0)
+                assert bracket == pytest.approx(float(exact_bracket), rel=2e-14, abs=0.0)
 
 
 class TestQuadratureScheme:
