@@ -64,7 +64,8 @@ def edge_correlation(env: PhysicalEnvironment, spacing: float) -> float:
     """Edge correlation rho = alpha*d * K_1(alpha*d) for sample spacing d.
 
     Strictly decreasing in spacing; tends to 1 as d -> 0 and to 0 as
-    d -> infinity.  Clamped into [0, 1] against floating-point overshoot.
+    d -> infinity.  Every finite alpha*d > 0 gives a value: 1.0 where
+    K_1 overflows (alpha*d < 5.6e-309), 0.0 where it underflows.
     """
     if not 0.0 < spacing < math.inf:
         raise DomainError(f"spacing must be finite and > 0, got {spacing!r}")
@@ -74,12 +75,7 @@ def edge_correlation(env: PhysicalEnvironment, spacing: float) -> float:
             f"alpha * spacing is out of range: alpha={env.alpha!r} * "
             f"spacing={spacing!r} = {x!r}"
         )
-    rho = x * bessel_k1(x)
-    if rho > 1.0:
-        rho = 1.0
-    elif rho < 0.0:
-        rho = 0.0
-    return rho
+    return min(x * bessel_k1(x), 1.0)
 
 
 def rho_of_zeta(zeta: float) -> float:

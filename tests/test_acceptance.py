@@ -366,6 +366,41 @@ def test_criterion_10c_high_density_tail(paper_sweeps):
     report("10c high-density asymptotics", ok and elapsed < 60.0, elapsed, "; ".join(details))
 
 
+def test_criterion_10d_torus_total_matches_past_the_crossover(paper_sweeps):
+    # The sweep's total is (2n+1)^2 times the N -> infinity rate; a finite
+    # N x N torus with N = 2n+1 agrees once the array is several
+    # correlation lengths wide, N sqrt(delta) large.  Measured worst: KLI
+    # 1.0e-5 on the 440 rows with N sqrt(delta) >= 7 and 2.7e-8 on the
+    # 396 with >= 10; at 5.10 (E=50, n=122) KLI is 6.1e-4 off.
+    sweeps, sweep_time = paper_sweeps
+    t0 = time.perf_counter()
+    worst = {7.0: 0.0, 10.0: 0.0}
+    counts = {7.0: 0, 10.0: 0}
+    for rows in sweeps.values():
+        for r in rows:
+            size = 2 * r.n + 1
+            width = size * math.sqrt(1.0 - 4.0 * r.zeta) if r.feasible else 0.0
+            if width < 7.0:
+                continue
+            torus = torus_rates(r.zeta, r.snr, TorusSpec(size))
+            err = max(
+                abs(size * size * torus.kli - r.total_kli) / r.total_kli,
+                abs(size * size * torus.mi - r.total_mi) / r.total_mi,
+            )
+            for floor in worst:
+                if width >= floor:
+                    worst[floor] = max(worst[floor], err)
+                    counts[floor] += 1
+    elapsed = sweep_time + (time.perf_counter() - t0)
+    report(
+        "10d torus total matches the sweep past the crossover",
+        worst[7.0] <= 1e-4 and worst[10.0] <= 1e-7 and counts[10.0] > 0,
+        elapsed,
+        f"N sqrt(delta) >= 7: {counts[7.0]} rows, worst {worst[7.0]:.1e} (tol 1e-4); "
+        f">= 10: {counts[10.0]} rows, worst {worst[10.0]:.1e} (tol 1e-7)",
+    )
+
+
 def test_criterion_11_correlation_benefit_shape():
     t0 = time.perf_counter()
     grid = np.linspace(0.0, 0.25, 50)

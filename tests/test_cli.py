@@ -601,6 +601,7 @@ class TestFuzz:
         assert code in (0, 2, 3), err.getvalue()
         assert caught == []
         assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.IGNORECASE)
+        return code
 
     @FUZZ
     @given(zeta=MAGNITUDE, snr_db=MAGNITUDE)
@@ -609,8 +610,14 @@ class TestFuzz:
 
     @FUZZ
     @given(alpha=MAGNITUDE, spacing=MAGNITUDE)
+    @example(alpha=1.0, spacing=5e-324)
+    @example(alpha=1e308, spacing=1.0)
+    @example(alpha=sys.float_info.max, spacing=1.0)
     def test_map(self, alpha, spacing):
-        self.check(["map", "--alpha", repr(alpha), "--spacing", repr(spacing)])
+        code = self.check(["map", "--alpha", repr(alpha), "--spacing", repr(spacing)])
+        # every alpha*d that is a finite, nonzero double has a correlation
+        if 0.0 < alpha * spacing < math.inf:
+            assert code == 0
 
     @FUZZ
     @given(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,19 @@ class TestEdgeCorrelation:
     def test_out_of_range_product(self, alpha, spacing):
         with pytest.raises(DomainError, match="alpha"):
             edge_correlation(PhysicalEnvironment(alpha), spacing)
+
+    def test_contact_limit_at_the_smallest_subnormal(self):
+        # K_1(5e-324) overflows; rho is its limit, and zeta follows
+        env = PhysicalEnvironment(1.0)
+        assert edge_correlation(env, 5e-324) == 1.0
+        assert zeta_of_spacing(env, 5e-324) == 0.25
+
+    @pytest.mark.parametrize("alpha", [1e308, sys.float_info.max])
+    def test_far_field_at_the_largest_doubles(self, alpha):
+        # exp(-alpha*d) underflows to 0 and takes K_1 with it, with no nan
+        env = PhysicalEnvironment(alpha)
+        assert edge_correlation(env, 1.0) == 0.0
+        assert zeta_of_spacing(env, 1.0) == 0.0
 
     def test_alpha_validated(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfcar.errors import DomainError
-from scipy.special import ellipe
+from scipy.special import ellipe, k1
 from sfcar.special import bessel_k1, complete_elliptic_k, elliptic_agm
 
 from oracles import bessel_k1_integral, ellipk_integral
@@ -15,6 +16,9 @@ from oracles import bessel_k1_integral, ellipk_integral
 K_HALF = 1.6857503548125963
 K1_AT_1 = 0.6019072301972346
 K1_AT_2 = 0.1398658818165224
+
+# 2,000 log-spaced x over the range the accuracy is stated for
+K1_GRID = [float(x) for x in np.logspace(-12, math.log10(705.0), 2000)]
 
 
 class TestEllipticK:
@@ -123,8 +127,14 @@ class TestBesselK1:
         assert abs(x * bessel_k1(x) - 1.0) < 1e-6
 
     def test_x_k1_bounded_by_one(self):
-        for x in np.logspace(-8, 2, 60):
-            assert 0.0 < float(x) * bessel_k1(float(x)) <= 1.0
+        # x K_1(x) rises to 1 as x -> 0; it must not round past it
+        for x in K1_GRID:
+            assert 0.0 < x * bessel_k1(x) <= 1.0
+
+    def test_against_scipy(self):
+        # scipy's k1 is within 5.8e-16 of 40-digit mpmath on these points
+        for x in K1_GRID:
+            assert bessel_k1(x) == pytest.approx(k1(x), rel=1e-14, abs=0.0)
 
     def test_strictly_decreasing(self):
         grid = np.logspace(-6, math.log10(600), 300)
@@ -132,16 +142,18 @@ class TestBesselK1:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_underflows_gracefully(self):
-        assert bessel_k1(800.0) == 0.0
+        for x in (800.0, 1e308, sys.float_info.max):
+            assert bessel_k1(x) == 0.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             bessel_k1(bad)
 
     def test_branch_seam_agreement(self):
-        below = bessel_k1(2.0 - 1e-12)
-        above = bessel_k1(2.0 + 1e-12)
+        # the small-x expansion hands over to the trapezoid sum at 1e-5
+        below = bessel_k1(1e-5 * (1.0 - 1e-12))
+        above = bessel_k1(1e-5)
         assert abs(below - above) / below < 1e-10
 
     def test_against_integral_oracle(self):
