@@ -14,7 +14,8 @@ sweep and optimize bound the lattice index n either directly (--n-min,
 --n-max) or by density (--mu-min, --mu-max); a lattice flag and a
 density flag for the same end exclude each other.  Density bounds are
 inclusive and exact: they select the rows whose printed mu_n lies
-within them.
+within them.  Only optimize takes --objective {kli|mi} (default kli),
+the total it maximizes; a sweep prints both.
 
 Exit codes: 0 success, 2 invalid input or unwritable output, 3 no
 feasible density.  A reader that closes stdout early (`sfcar sweep ...
@@ -122,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
             bound.add_argument(
                 f"--mu-{end}", type=_finite, default=None, help=f"{end}imum density"
             )
-        p.add_argument("--objective", choices=("kli", "mi"), default=None)
+        if name == "optimize":
+            p.add_argument("--objective", choices=("kli", "mi"), default="kli")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("validate", parents=[common], help="torus vs quadrature gaps")
@@ -267,7 +269,7 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         environment=PhysicalEnvironment(args.alpha),
         n_min=n_min,
         n_max=n_max,
-        objective=Objective(args.objective or "kli"),
+        objective=Objective(getattr(args, "objective", "kli")),
     )
 
 
@@ -278,10 +280,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    config = _scenario_from_args(args)
-    best = optimize(config)
-    record = best._asdict()
-    record["objective"] = config.objective.value
+    record = optimize(_scenario_from_args(args))._asdict()
+    record["objective"] = args.objective
     _emit([record], [*SweepRow._fields, "objective"], args)
     return EXIT_OK
 

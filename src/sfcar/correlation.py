@@ -18,12 +18,12 @@ AGM, inside a bracket that falls back to bisection.  In u,
 and zeta = -expm1(u)/4 keeps the relative precision of small zeta.
 
 Precision note: near the upper endpoint zeta grows toward 1/4 only
-double-exponentially slowly in rho (K is logarithmic in delta), so
-1/4 - delta/4 rounds to 1/4 once delta <= 2^-54, that is from
-rho ~ 0.9205 (n = 344 on the paper scenario); zeta_of_rho returns 1/4
-there and only there.  Round trips through the inverse are exact to
-1e-10 in rho only for rho <~ 0.8, while round trips in zeta are accurate
-over all of [0, 1/4].
+double-exponentially slowly in rho (K is logarithmic in delta).  The
+solver resolves delta down to the smallest normal double (rho ~ 0.9956),
+and zeta reaches 1/4 by rounding alone, once delta <= 2^-54: from
+rho ~ 0.9205 (n = 344 on the paper scenario).  Round trips through the
+inverse are exact to 1e-10 in rho only for rho <~ 0.8, while round trips
+in zeta are accurate over all of [0, 1/4].
 """
 
 import math
@@ -39,9 +39,8 @@ from sfcar.special import bessel_k1, complete_elliptic_k, elliptic_agm  # noqa: 
 # E - k'^2 K cancels as k -> 0.
 _SERIES_CUTOFF = 1e-4
 _NEGATIVE_CLAMP = -1e-13
-# The largest delta = 1 - 4 zeta for which 1/4 - delta/4 rounds to 1/4
-# (a tie, which rounds to the even 1/4).
-_SATURATION_DELTA = 2.0**-54
+# The solver's lower end in u = log(delta): the smallest normal delta.
+_LOG_DELTA_MIN = math.log(2.0**-1022)
 # Newton stops once a step is this small relative to the iterate; the
 # error left after it is of the order of its square.
 _NEWTON_TOL = 1e-9
@@ -93,24 +92,21 @@ def rho_of_zeta(zeta: float) -> float:
     return elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[2]
 
 
-# rho at zeta = 1/8, where the solver's start changes, and at the
-# saturation delta, from which zeta rounds to 1/4.
+# rho at zeta = 1/8, where the solver's start changes.
 _RHO_EIGHTH = rho_of_zeta(0.125)
-_RHO_SATURATED = elliptic_agm(
-    1.0 - _SATURATION_DELTA, math.sqrt(_SATURATION_DELTA * (2.0 - _SATURATION_DELTA))
-)[2]
 
 
 def zeta_of_rho(rho: float) -> float:
     """Edge dependence factor reproducing edge correlation rho.
 
     Safeguarded Newton on rho_of_zeta(zeta) = rho in u = log(1 - 4 zeta),
-    inside the bracket [log 2^-54, 0]: from the series start
+    inside the bracket [log 2^-1022, 0]: from the series start
     zeta_0 = rho - 5 rho^3 for rho < rho(1/8), above it from
     delta_0 = 8 exp(-pi/(1 - rho)), the limit of K ~ log(4/k') as
     delta -> 0.  Each step stays inside the bracket its residuals have
     established, and bisects it otherwise, so u = 0 (k = 0) is never
-    evaluated.  Returns exactly 1/4 where 1/4 - delta/4 rounds to 1/4.
+    evaluated.  zeta = -expm1(u)/4 reaches 1/4 by rounding, with no
+    cut-off; rho = 1 gives 1/4, as rho_of_zeta(1/4) = 1.
     """
     if _NEGATIVE_CLAMP <= rho < 0.0:
         rho = 0.0
@@ -118,9 +114,9 @@ def zeta_of_rho(rho: float) -> float:
         raise DomainError(f"rho must lie in [0, 1], got {rho!r}")
     if rho < _SERIES_CUTOFF:
         return rho - 5.0 * rho**3
-    if rho >= _RHO_SATURATED:
+    if rho == 1.0:
         return 0.25
-    lo, hi = math.log(_SATURATION_DELTA), 0.0
+    lo, hi = _LOG_DELTA_MIN, 0.0
     if rho < _RHO_EIGHTH:
         u = math.log1p(-4.0 * (rho - 5.0 * rho**3))
     else:

@@ -123,6 +123,8 @@ def _terms(nodes, sigma: float):
         x = (sigma / v) * (1.0 + (a + a + sigma) / rsum)
         m = log1p(x)
         if x > 0.1:
+            if m == math.inf:  # x overflows once sigma is near the largest double
+                m = math.log(sigma / v) + log1p((a + a + sigma) / rsum)
             yield weight, r0, m, m - sigma / r1
             continue
         a1 = a + sigma

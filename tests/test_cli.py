@@ -499,6 +499,17 @@ class TestRejectedInput:
         err = self.rejected(capsys, ["rates", "--config", str(cfg)])
         assert "'snr'" in err
 
+    def test_objective_is_optimize_only(self, capsys):
+        # a sweep prints both totals; only optimize picks one
+        err = self.rejected(capsys, ["sweep", *PAPER_ARGS, "--objective", "mi"])
+        assert "--objective" in err and err.count("\n") == 1
+
+    def test_objective_in_sweep_config(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"objective": "mi"}))
+        err = self.rejected(capsys, ["sweep", *PAPER_ARGS, "--config", str(cfg)])
+        assert "'objective'" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("half_width", ["1e300", "1e-300", "1e-154", "-1"])
     def test_density_out_of_range(self, capsys, half_width):
         # (2L)^2 overflows, underflows to 0, or leaves (2n+1)^2 / (2L)^2
@@ -605,6 +616,7 @@ class TestFuzz:
 
     @FUZZ
     @given(zeta=MAGNITUDE, snr_db=MAGNITUDE)
+    @example(zeta=0.2, snr_db=3081.0)  # x in the rate integrand overflows
     def test_rates(self, zeta, snr_db):
         self.check(["rates", "--zeta", repr(zeta), "--snr-db", repr(snr_db)])
 
@@ -625,6 +637,7 @@ class TestFuzz:
         nu=st.floats(2.0, 1e3),
         n_max=st.integers(1, 3),
     )
+    @example(values=(1.0, 1e308, 1.0, 15.0, 0.0), nu=2.0, n_max=1)  # snr 1.7e308
     def test_sweep(self, values, nu, n_max):
         flags = ("--L", "--E", "--alpha", "--beta", "--E0")
         argv = ["sweep", "--nu", repr(nu), "--n-max", str(n_max)]
@@ -635,6 +648,10 @@ class TestFuzz:
     @FUZZ
     @given(zeta=MAGNITUDE, snr_db=MAGNITUDE, n=st.integers(2, 64))
     @example(zeta=0.1, snr_db=0.0, n=TORUS_N_MAX + 1)
+    @example(zeta=0.1, snr_db=3082.0, n=8)  # x in the rate integrand overflows
     def test_validate(self, zeta, snr_db, n):
-        self.check(["validate", "--zeta", repr(zeta), "--snr-db", repr(snr_db),
-                    "--N", str(n)])
+        code = self.check(["validate", "--zeta", repr(zeta), "--snr-db", repr(snr_db),
+                           "--N", str(n)])
+        # every zeta below 1/4 and linear SNR below the largest double has rates
+        if zeta < 0.25 and snr_db <= 3082.5 and n <= TORUS_N_MAX:
+            assert code == 0

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -151,8 +152,12 @@ class TestZetaOfRho:
 # elliptic integral oracle.
 RHO_EIGHTH = rho_of_zeta_elliptic(0.125)
 # 520 edge correlations from the series cutoff to beyond the paper rows'
-# largest (0.955), so past the saturation at rho ~ 0.9205.
+# largest (0.955), so past rho ~ 0.9205, from which zeta rounds to 1/4.
 SOLVER_GRID = [float(r) for r in np.linspace(1e-4, 0.955, 520)]
+# Above the paper rows up to rho ~ 0.9956, where delta reaches the
+# smallest normal double and the solver's bracket ends, and on to the
+# last double below 1.
+SATURATED_GRID = [float(r) for r in np.linspace(0.9205, 0.995, 200)] + [1.0 - 2.0**-53]
 
 
 class TestSolver:
@@ -192,13 +197,21 @@ class TestSolver:
 
         monkeypatch.setattr(sfcar.correlation, "elliptic_agm", counted)
         counts = []
-        # the grid, and roots just below delta = 1/2, where the start changes
-        for rho in SOLVER_GRID + [RHO_EIGHTH, 0.13639, 0.1364, 0.137, 0.14]:
+        # the grids, and roots just below delta = 1/2, where the start changes
+        for rho in SOLVER_GRID + SATURATED_GRID + [RHO_EIGHTH, 0.13639, 0.1364, 0.137, 0.14]:
             calls.clear()
             zeta_of_rho(rho)
             counts.append(len(calls))
         assert max(counts) <= 8
         assert sum(counts) / len(counts) <= 4.0
+
+    @pytest.mark.parametrize("rho", [0.93, 0.99, 0.995, 0.999, 1.0 - 2.0**-53, 1.0])
+    def test_quarter_by_rounding_up_to_one(self, rho):
+        # no cut-off: the Newton path itself lands on 1/4, and rho = 1 is
+        # the endpoint rho_of_zeta(1/4) = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert zeta_of_rho(rho) == 0.25
 
 
 # Around the series cutoff of zeta_of_rho (1e-4), where the closed form

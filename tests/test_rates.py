@@ -173,6 +173,17 @@ class TestProperties:
             assert rates.kli == pytest.approx(kli / math.pi**2, rel=1e-12, abs=0.0)
             assert rates.mi == pytest.approx(mi / math.pi**2, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("zeta", [0.0, 0.001, 0.1, 0.2, 0.25 - 1e-12])
+    def test_doubling_at_the_top_of_the_double_range(self, zeta):
+        # Both rates are (1/2) log SNR + O(1) + O(1/SNR), so doubling SNR adds
+        # (1/2) ln 2.  At 1.7e308 the integrand's x overflows for zeta of
+        # 0.1 and 0.2 and is taken in logarithms instead.
+        spec = TorusSpec(16)
+        for rates in (info_rates, lambda z, s: torus_rates(z, s, spec)):
+            high, low = rates(zeta, 1.7e308), rates(zeta, 0.85e308)
+            assert high.mi - low.mi == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+            assert high.kli - low.kli == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+
     def test_deterministic(self):
         a = info_rates(0.21, 7.3)
         b = info_rates(0.21, 7.3)
