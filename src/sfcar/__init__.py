@@ -12,7 +12,6 @@ from sfcar.correlation import (
     zeta_of_spacing,
 )
 from sfcar.density import (
-    Objective,
     ScenarioConfig,
     SweepRow,
     evaluate_density,
@@ -22,7 +21,6 @@ from sfcar.density import (
 )
 from sfcar.errors import (
     DomainError,
-    InfeasibleDensityError,
     NoFeasibleDensityError,
     SfcarError,
 )
@@ -60,12 +58,10 @@ __all__ = [
     "evaluate_density",
     "feasibility_boundary",
     "hop_count_sum",
-    "InfeasibleDensityError",
     "InfoRates",
     "info_rates",
     "NoFeasibleDensityError",
     "node_snr",
-    "Objective",
     "optimize",
     "PhysicalEnvironment",
     "rho_of_zeta",

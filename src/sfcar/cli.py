@@ -30,14 +30,7 @@ import sys
 from collections.abc import Sequence
 
 from sfcar.correlation import PhysicalEnvironment, edge_correlation, zeta_of_rho
-from sfcar.density import (
-    N_MAX_CAP,
-    Objective,
-    ScenarioConfig,
-    SweepRow,
-    optimize,
-    sweep,
-)
+from sfcar.density import N_MAX_CAP, ScenarioConfig, SweepRow, optimize, sweep
 from sfcar.errors import DomainError, NoFeasibleDensityError
 from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.network import Deployment, EnergyModel
@@ -269,7 +262,6 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         environment=PhysicalEnvironment(args.alpha),
         n_min=n_min,
         n_max=n_max,
-        objective=Objective(getattr(args, "objective", "kli")),
     )
 
 
@@ -280,7 +272,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    record = optimize(_scenario_from_args(args))._asdict()
+    record = optimize(_scenario_from_args(args), args.objective)._asdict()
     record["objective"] = args.objective
     _emit([record], [*SweepRow._fields, "objective"], args)
     return EXIT_OK

@@ -24,14 +24,10 @@ As zeta -> 1/4, G grows like pi / (delta ln^2(8/delta)), delta = 1 - 4 zeta:
 at low SNR, correlation raises the information per unit of sensing energy.
 """
 
-from enum import Enum
+from operator import attrgetter
 
 from sfcar.correlation import PhysicalEnvironment, edge_correlation, zeta_of_rho
-from sfcar.errors import (
-    DomainError,
-    InfeasibleDensityError,
-    NoFeasibleDensityError,
-)
+from sfcar.errors import DomainError, NoFeasibleDensityError
 from sfcar.network import (
     Deployment,
     EnergyModel,
@@ -46,18 +42,11 @@ from sfcar.records import integer, record
 N_MAX_CAP = 500
 
 
-class Objective(str, Enum):
-    """Which network total the optimizer maximizes."""
-
-    KLI = "kli"
-    MI = "mi"
-
-
-_SCENARIO_FIELDS = "half_width energy environment n_min n_max objective"
+_SCENARIO_FIELDS = "half_width energy environment n_min n_max"
 
 
 class ScenarioConfig(record("ScenarioConfig", _SCENARIO_FIELDS)):
-    """Everything a sweep needs.
+    """Everything a sweep needs; the objective is optimize's argument.
 
     n_max = None means "up to the feasibility boundary" (see
     feasibility_boundary).  No lattice index in the range may exceed
@@ -73,7 +62,6 @@ class ScenarioConfig(record("ScenarioConfig", _SCENARIO_FIELDS)):
         environment: PhysicalEnvironment,
         n_min: int = 1,
         n_max: int | None = None,
-        objective: Objective = Objective.KLI,
     ):
         n_min = integer(n_min, "n_min")
         if n_max is not None:
@@ -87,7 +75,7 @@ class ScenarioConfig(record("ScenarioConfig", _SCENARIO_FIELDS)):
             raise DomainError(
                 f"lattice index must be <= N_MAX_CAP = {N_MAX_CAP}, got {largest!r}"
             )
-        return super().__new__(cls, half_width, energy, environment, n_min, n_max, objective)
+        return super().__new__(cls, half_width, energy, environment, n_min, n_max)
 
 
 _SWEEP_FIELDS = "n mu_n d_n rho zeta e_s snr kli_rate mi_rate total_kli total_mi feasible"
@@ -104,9 +92,6 @@ class SweepRow(record("SweepRow", _SWEEP_FIELDS)):
 
     __slots__ = ()
 
-    def objective_total(self, objective: Objective) -> float | None:
-        return self.total_kli if objective is Objective.KLI else self.total_mi
-
 
 def evaluate_density(config: ScenarioConfig, n: int) -> SweepRow:
     """Evaluate one lattice size; infeasibility is encoded, not raised."""
@@ -115,9 +100,8 @@ def evaluate_density(config: ScenarioConfig, n: int) -> SweepRow:
     rho = edge_correlation(config.environment, spacing)
     zeta = zeta_of_rho(rho)
     geometry = (n, deployment.density, spacing, rho, zeta)
-    try:
-        e_s = sensing_energy_per_node(config.energy, deployment)
-    except InfeasibleDensityError:
+    e_s = sensing_energy_per_node(config.energy, deployment)
+    if e_s == 0.0:
         return SweepRow(*geometry, *(None,) * 6, feasible=False)
     snr = node_snr(config.energy, e_s)
     rates = info_rates(zeta, snr)
@@ -141,9 +125,7 @@ def feasibility_boundary(config: ScenarioConfig) -> int:
     """
     for n in range(config.n_min, N_MAX_CAP):
         deployment = Deployment(config.half_width, n)
-        try:
-            sensing_energy_per_node(config.energy, deployment)
-        except InfeasibleDensityError:
+        if sensing_energy_per_node(config.energy, deployment) == 0.0:
             following = Deployment(config.half_width, n + 1)
             if total_comm_energy(config.energy, deployment) < total_comm_energy(
                 config.energy, following
@@ -158,14 +140,17 @@ def sweep(config: ScenarioConfig) -> list[SweepRow]:
     return [evaluate_density(config, n) for n in range(config.n_min, n_max + 1)]
 
 
-def optimize(config: ScenarioConfig) -> SweepRow:
-    """The feasible row maximizing the configured objective total.
+def optimize(config: ScenarioConfig, objective: str = "kli") -> SweepRow:
+    """The feasible row maximizing the network total of objective,
+    "kli" (total_kli) or "mi" (total_mi).
 
-    Ties break toward smaller n.  Raises NoFeasibleDensityError when no
-    candidate is feasible.
+    Ties break toward smaller n.  Raises DomainError for any other
+    objective, and NoFeasibleDensityError when no candidate is feasible.
     """
+    if objective not in ("kli", "mi"):
+        raise DomainError(f"objective must be 'kli' or 'mi', got {objective!r}")
     feasible = [row for row in sweep(config) if row.feasible]
     if not feasible:
         raise NoFeasibleDensityError("no feasible density in the configured range")
     # max keeps the first of equal values: the smaller n
-    return max(feasible, key=lambda row: row.objective_total(config.objective))
+    return max(feasible, key=attrgetter("total_" + objective))

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library: three classes."""
 
 
 class SfcarError(Exception):
@@ -7,11 +7,6 @@ class SfcarError(Exception):
 
 class DomainError(SfcarError, ValueError):
     """An argument left the mathematical domain of an operation."""
-
-
-class InfeasibleDensityError(SfcarError):
-    """Communication energy meets or exceeds the total budget, leaving no
-    sensing energy."""
 
 
 class NoFeasibleDensityError(SfcarError):

@@ -5,12 +5,13 @@ with spacing d_n = L/n and density mu_n = (2n+1)^2/(2L)^2.  A fusion
 center at the origin collects every measurement over minimum-hop routes
 (|i| + |j| hops for node (i, j)), each hop costing E0 * d_n^nu.  The
 remaining budget is split uniformly into per-node sensing energy E_s,
-and measurement SNR grows linearly with it: SNR = beta * E_s.
+and measurement SNR grows linearly with it: SNR = beta * E_s.  A
+density is infeasible exactly when E_s = 0: nothing is left to sense with.
 """
 
 import math
 
-from sfcar.errors import DomainError, InfeasibleDensityError
+from sfcar.errors import DomainError
 from sfcar.rates import InfoRates
 from sfcar.records import integer, record
 
@@ -100,18 +101,13 @@ def total_comm_energy(energy: EnergyModel, deployment: Deployment) -> float:
 
 def sensing_energy_per_node(energy: EnergyModel, deployment: Deployment) -> float:
     """Budget-saturating uniform sensing allocation
-    E_s = (E - total communication energy) / (2n+1)^2.
+    E_s = max(E - total communication energy, 0) / (2n+1)^2.
 
-    Raises InfeasibleDensityError when communication alone meets or
-    exceeds the budget (E_s = 0 counts as infeasible: zero sensing energy
-    means zero information).
+    0 means infeasible: communication alone meets or exceeds the budget,
+    or what it leaves underflows when shared among the nodes.
     """
     remaining = energy.total_energy - total_comm_energy(energy, deployment)
-    if remaining <= 0.0:
-        raise InfeasibleDensityError(
-            f"communication energy exhausts the budget at n={deployment.n}"
-        )
-    return remaining / deployment.node_count
+    return max(remaining, 0.0) / deployment.node_count
 
 
 def node_snr(energy: EnergyModel, sensing_energy: float) -> float:

@@ -239,6 +239,46 @@ def low_snr_kli(zeta: float, snr: float) -> float:
     return snr**2 / 4.0 * mean_d2 / c**2 - snr**3 / 3.0 * mean_d3 / c**3
 
 
+def rates_by_snr_integral(zeta: float, snr: float) -> tuple[float, float]:
+    """(kli, mi) per node as integrals over the SNR, for zeta < 1/4.
+
+    With the lattice Green's function <1/(a - 2 zeta (cos w1 + cos w2))>
+    = (2/(pi a)) K(k), k = 4 zeta / a, the derivatives of the rates in
+    sigma = snr / c, c = (2/pi) K(4 zeta), are
+
+        d mi / dt  = K(k) / (pi a)
+        d kli / dt = t E(k) / (pi a^2 (1 - k^2))
+
+    at a = 1 + t, where a^2 (1 - k^2) = (t + delta)(2 + t - delta) and
+    delta = 1 - 4 zeta.  Both are integrated from 0 to sigma by SciPy's
+    quad in v = log1p(t / delta), dt = (t + delta) dv, which spreads the
+    logarithmic peak of K at t = 0 as zeta -> 1/4 and cancels the
+    1/(t + delta) of the KL integrand.  K and E come from SciPy: ellipkm1
+    takes 1 - k^2 without rounding it, and c is ellipkm1(delta (2 - delta))
+    above zeta = 1/8, where delta is exact, and ellipk(16 zeta^2) below.
+    """
+    delta = 1.0 - 4.0 * zeta
+    big_k = ellipkm1(delta * (2.0 - delta)) if zeta > 0.125 else ellipk(16.0 * zeta * zeta)
+    sigma = snr / ((2.0 / math.pi) * big_k)
+
+    def mi_integrand(v: float) -> float:
+        t = delta * math.expm1(v)
+        a = 1.0 + t
+        return ellipkm1((t + delta) * (2.0 + t - delta) / (a * a)) * (t + delta) / a
+
+    def kli_integrand(v: float) -> float:
+        t = delta * math.expm1(v)
+        k = 4.0 * zeta / (1.0 + t)
+        return t * ellipe(k * k) / (2.0 + t - delta)
+
+    top = math.log1p(sigma / delta)
+    rates = [
+        quad(f, 0.0, top, epsabs=0.0, epsrel=1e-13)[0] / math.pi
+        for f in (kli_integrand, mi_integrand)
+    ]
+    return rates[0], rates[1]
+
+
 def _log1p_minus_x(x: float) -> float:
     # log(1 + x) - x for 0 <= x <= 0.1 without cancellation:
     # log(1 + x) = 2 atanh(y) with y = x / (2 + x), and x - 2y = x^2 / (2 + x).

@@ -18,7 +18,7 @@ import pytest
 
 from sfcar.cli import main as cli_main
 from sfcar.correlation import PhysicalEnvironment, rho_of_zeta, zeta_of_rho
-from sfcar.density import Objective, ScenarioConfig, sweep
+from sfcar.density import ScenarioConfig, sweep
 from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.network import EnergyModel
 from sfcar.rates import info_rates
@@ -242,12 +242,11 @@ def test_criterion_09_hop_count_identity():
 CHAIN_RHO_MAX = 0.9
 
 
-def paper_config(total_energy: float, objective: Objective = Objective.KLI) -> ScenarioConfig:
+def paper_config(total_energy: float) -> ScenarioConfig:
     return ScenarioConfig(
         half_width=1.0,
         energy=EnergyModel(total_energy=total_energy, e0=0.1, nu=2.0, beta=1.0),
         environment=PhysicalEnvironment(alpha=100.0),
-        objective=objective,
     )
 
 
@@ -274,11 +273,11 @@ def test_criterion_10a_interior_optimum_exists(paper_sweeps):
     for energy, rows in sweeps.items():
         feasible = [r for r in rows if r.feasible]
         boundary = rows[-1].n if not rows[-1].feasible else None
-        for objective in (Objective.KLI, Objective.MI):
-            best = max(feasible, key=lambda r: r.objective_total(objective))
+        for objective in ("kli", "mi"):
+            best = max(feasible, key=lambda r: getattr(r, "total_" + objective))
             interior = feasible[0].n < best.n and (boundary is None or best.n < boundary)
             ok = ok and interior
-            details.append(f"E={energy:.0f}/{objective.value}: n*={best.n}")
+            details.append(f"E={energy:.0f}/{objective}: n*={best.n}")
     elapsed = sweep_time + (time.perf_counter() - t0)
     report(
         "10a interior optimal density",

@@ -18,7 +18,7 @@ import sfcar
 import sfcar.cli
 from sfcar.cli import main
 from sfcar.correlation import PhysicalEnvironment, zeta_of_spacing
-from sfcar.density import N_MAX_CAP, Objective, ScenarioConfig, optimize, sweep
+from sfcar.density import N_MAX_CAP, ScenarioConfig, optimize, sweep
 from sfcar.lattice import TORUS_N_MAX
 from sfcar.network import Deployment, EnergyModel
 from sfcar.rates import info_rates
@@ -26,6 +26,9 @@ from sfcar.rates import info_rates
 from oracles import dense_gaussian_rates
 
 PAPER_ARGS = ["--L", "1", "--E", "50", "--alpha", "100", "--beta", "1", "--E0", "0.1", "--nu", "2"]
+SUBNORMAL_ARGS = ["--L", "1", "--E", "5e-324", "--alpha", "100", "--beta", "1",
+                  "--E0", "0", "--nu", "2", "--n-max", "3"]
+ENERGY_FIELDS = ("e_s", "snr", "kli_rate", "mi_rate", "total_kli", "total_mi")
 
 
 def run(capsys, argv):
@@ -150,6 +153,16 @@ class TestSweepCommand:
         assert [r["feasible"] for r in records] == [True, False, False]
         assert records[1]["e_s"] is None
 
+    def test_underflowing_budget_rows_are_infeasible(self, capsys):
+        # E / 9 underflows to E_s = 0: infeasible rows with empty energy cells
+        code, out = run(capsys, ["sweep", *SUBNORMAL_ARGS])
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["n"] for r in rows] == ["1", "2", "3"]
+        for row in rows:
+            assert row["feasible"] == "false"
+            assert [row[f] for f in ENERGY_FIELDS] == [""] * 6
+
     def test_boundary_scan_stays_within_the_cap(self, capsys):
         # --L is checked at n = N_MAX_CAP; n = N_MAX_CAP + 1 would overflow
         code, out = run(capsys, ["sweep", "--L", "3.737e-152", "--E", "279862545.9264864",
@@ -216,15 +229,21 @@ class TestOptimizeCommand:
             energy=EnergyModel(50.0, 0.1, 2.0, 1.0),
             environment=PhysicalEnvironment(100.0),
             n_max=30,
-            objective=Objective.MI,
         )
-        assert record["n"] == optimize(cfg).n
+        assert record["n"] == optimize(cfg, "mi").n
         assert record["objective"] == "mi"
 
     def test_no_feasible_exits_3(self, capsys):
         code = main(["optimize", "--L", "1", "--E", "0.5", "--alpha", "100", "--beta", "1",
                      "--E0", "0.1", "--nu", "2", "--n-min", "3", "--n-max", "6"])
         assert code == 3
+
+    def test_underflowing_budget_exits_3(self, capsys):
+        code = main(["optimize", *SUBNORMAL_ARGS])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: no feasible density in the configured range\n"
 
     def test_feasible_past_falling_comm_energy(self, capsys):
         # at nu = 3 communication costs 1.2 J at n = 1 but 0.75 J at n = 2

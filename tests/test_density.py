@@ -5,7 +5,6 @@ import pytest
 from sfcar.correlation import PhysicalEnvironment, edge_correlation, zeta_of_rho
 from sfcar.density import (
     N_MAX_CAP,
-    Objective,
     ScenarioConfig,
     evaluate_density,
     feasibility_boundary,
@@ -81,6 +80,22 @@ class TestEvaluateDensity:
         # geometric fields remain populated
         assert row.mu_n == pytest.approx(401**2 / 4.0)
         assert 0.0 <= row.zeta <= 0.25
+
+    def test_underflowing_sensing_energy_is_infeasible(self):
+        # E = 5e-324 is positive, but E / 9 underflows: E_s = 0 means
+        # infeasible even though communication is free
+        cfg = ScenarioConfig(
+            half_width=1.0,
+            energy=EnergyModel(total_energy=5e-324, e0=0.0, nu=2.0, beta=1.0),
+            environment=PhysicalEnvironment(alpha=100.0),
+            n_max=3,
+        )
+        assert sensing_energy_per_node(cfg.energy, Deployment(1.0, 1)) == 0.0
+        row = evaluate_density(cfg, 1)
+        assert row.feasible is False
+        assert row[5:11] == (None,) * 6
+        with pytest.raises(NoFeasibleDensityError):
+            optimize(cfg)
 
 
 class TestSweep:
@@ -161,10 +176,16 @@ class TestOptimize:
         assert optimize(cfg) == evaluate_density(cfg, 5)
 
     def test_matches_manual_argmax(self):
-        cfg = paper_scenario(n_max=40, objective=Objective.MI)
+        cfg = paper_scenario(n_max=40)
         rows = [row for row in sweep(cfg) if row.feasible]
-        best = max(rows, key=lambda r: r.total_mi)
-        assert optimize(cfg) == best
+        assert optimize(cfg, "mi") == max(rows, key=lambda r: r.total_mi)
+        assert optimize(cfg, "kli") == max(rows, key=lambda r: r.total_kli)
+        assert optimize(cfg) == optimize(cfg, "kli")
+
+    @pytest.mark.parametrize("objective", ["mse", "KLI", "total_kli", ""])
+    def test_unknown_objective(self, objective):
+        with pytest.raises(DomainError, match="objective"):
+            optimize(paper_scenario(n_max=3), objective)
 
     def test_argmax_invariant_under_scaling(self):
         cfg = paper_scenario(n_max=40)

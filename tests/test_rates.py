@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.special import ellipk, ellipkm1
 
 from sfcar.errors import DomainError
 from sfcar.lattice import TorusSpec, torus_rates
@@ -22,6 +23,7 @@ from oracles import (
     kli_rate_1d,
     low_snr_kli,
     mi_rate_1d,
+    rates_by_snr_integral,
     spectral_ratio,
     tensor_rate_sums,
 )
@@ -188,6 +190,47 @@ class TestProperties:
         a = info_rates(0.21, 7.3)
         b = info_rates(0.21, 7.3)
         assert (a.kli, a.mi) == (b.kli, b.mi)
+
+
+class TestSnrIntegral:
+    # rates_by_snr_integral integrates the derivatives of the rates in the
+    # SNR, a path that shares no integrand with rates._terms
+    GRID = [
+        (0.25 - float(gap), float(snr))
+        for gap in np.logspace(-12, math.log10(0.25), 13)
+        for snr in np.logspace(-6, 4, 11)
+    ]
+    CORNERS = [
+        (zeta, snr)
+        for zeta in (0.0, 1e-300, 0.125, 0.249, 0.25 - 1e-12, float(np.nextafter(0.25, 0.0)))
+        for snr in (1e-12, 1e-9, 1e-3, 1e3, 1e10)
+    ]
+
+    @pytest.mark.parametrize("points", ["GRID", "CORNERS"])
+    def test_matches_info_rates(self, points):
+        for zeta, snr in getattr(self, points):
+            rates = info_rates(zeta, snr)
+            kli, mi = rates_by_snr_integral(zeta, snr)
+            assert rates.kli == pytest.approx(kli, rel=1e-13, abs=0.0), (zeta, snr)
+            assert rates.mi == pytest.approx(mi, rel=1e-13, abs=0.0), (zeta, snr)
+
+    def test_kl_identity(self):
+        # integrating d kli / dt by parts: kli = mi - sigma K(k_s) / (pi (1 + sigma))
+        # with k_s = 4 zeta / (1 + sigma); free of cancellation for sigma >= 1
+        checked = 0
+        for zeta, snr in self.GRID + self.CORNERS:
+            delta = 1.0 - 4.0 * zeta
+            c = ellipkm1(delta * (2.0 - delta)) if zeta > 0.125 else ellipk(16.0 * zeta**2)
+            sigma = snr / ((2.0 / math.pi) * c)
+            if sigma < 1.0:
+                continue
+            a = 1.0 + sigma
+            k_sigma = ellipkm1((sigma + delta) * (2.0 + sigma - delta) / (a * a))
+            rates = info_rates(zeta, snr)
+            expected = rates.mi - sigma * k_sigma / (math.pi * a)
+            assert rates.kli == pytest.approx(expected, rel=1e-14, abs=0.0), (zeta, snr)
+            checked += 1
+        assert checked >= 50
 
 
 def _gauss_legendre_12():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sfcar.correlation import PhysicalEnvironment
-from sfcar.density import Objective, ScenarioConfig, SweepRow
+from sfcar.density import ScenarioConfig, SweepRow
 from sfcar.errors import DomainError
 from sfcar.lattice import TorusSpec
 from sfcar.network import Deployment, EnergyModel
@@ -96,19 +96,15 @@ def test_repr_names_every_field():
 
 def test_scenario_defaults_and_keywords():
     config = ScenarioConfig(half_width=1.0, energy=ENERGY, environment=ENVIRONMENT)
-    assert (config.n_min, config.n_max, config.objective) == (1, None, Objective.KLI)
-    assert config == ScenarioConfig(1.0, ENERGY, ENVIRONMENT, 1, None, Objective.KLI)
+    assert (config.n_min, config.n_max) == (1, None)
+    assert config == ScenarioConfig(1.0, ENERGY, ENVIRONMENT, 1, None)
     config = ScenarioConfig(
-        objective=Objective.MI, n_max=5, environment=ENVIRONMENT, energy=ENERGY,
-        half_width=2.0, n_min=2,
+        n_max=5, environment=ENVIRONMENT, energy=ENERGY, half_width=2.0, n_min=2,
+    )
+    assert ScenarioConfig._fields == (
+        "half_width", "energy", "environment", "n_min", "n_max",
     )
     assert config._asdict() == {
         "half_width": 2.0, "energy": ENERGY, "environment": ENVIRONMENT,
-        "n_min": 2, "n_max": 5, "objective": Objective.MI,
+        "n_min": 2, "n_max": 5,
     }
-
-
-def test_sweep_row_keeps_objective_total():
-    row = INFEASIBLE_ROW._replace(total_kli=3.0, total_mi=4.0)
-    assert row.objective_total(Objective.KLI) == 3.0
-    assert row.objective_total(Objective.MI) == 4.0
