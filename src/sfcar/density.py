@@ -16,6 +16,13 @@ where rho ~ 0.76 and SNR ~ 1e-3 (n = 157, 155, 152 at E = 100, 150,
 at E = 50 communication exhausts the budget at n = 124 and total KLI
 has its single maximum at n = 2.
 
+The rates are those of the infinite lattice, so a total describes the
+finite (2n+1) x (2n+1) array only once it spans several correlation
+lengths, (2n+1) sqrt(delta) >~ 7 with delta = 1 - 4 zeta: from there on
+the exact torus of that size agrees with it within 1e-4, and within 1e-7
+from (2n+1) sqrt(delta) = 10 (acceptance criterion 10d).  The second KLI
+maximum sits at (2n+1) sqrt(delta) = 1.1 to 1.4, outside that regime.
+
 At low SNR the sweep has a closed form.  Per node, KLI = (SNR^2/4) G +
 O(SNR^3) with G = (2/pi) E(4 zeta) / ((1 - 16 zeta^2) c^2) and
 c = (2/pi) K(4 zeta), so with N = (2n+1)^2 nodes sharing what the total

@@ -8,11 +8,11 @@ closed form, so only the rows are visited: O(N) work in plain Python.
 Work in units of c = (2/pi) K(4 zeta) and put sigma = SNR/c.  A row with
 sin^2(w1/2) = s has A0 - B = g = delta + 4 zeta s and A0 + B = k =
 1 + 4 zeta s, with B = 2 zeta and delta = 1 - 4 zeta; A1 = A0 + sigma,
-r0, x and the KL bracket are those of `sfcar.rates`, whose `_terms`
-evaluates them row by row.  Only the finite-N terms are derived here.
-With cosh(2 h/N) = A/B for A = A0, A1 (h = h0, h1) the row's log-sum is
-N log(B/2) + 2 log 2 + 2 log sinh h and its sum of 1/(A - B cos w2) is
-N coth(h)/r.  So
+r0, x and the KL bracket are those of `sfcar.rates`, whose summing loop
+`_sums` evaluates them row by row and, given N, adds the finite-N terms
+derived here.  With cosh(2 h/N) = A/B for A = A0, A1 (h = h0, h1) the
+row's log-sum is N log(B/2) + 2 log 2 + 2 log sinh h and its sum of
+1/(A - B cos w2) is N coth(h)/r.  So
 
     h0 = (N/2) asinh(r0 / (2 zeta)),  D = h1 - h0 = (N/2) log1p(x),
     row MI = (N/2) log1p(x) - log1p(-u),
@@ -22,17 +22,13 @@ with u = e^(-2 h0) (1 - e^(-2D)) / (1 - e^(-2 h1)) and p = 1/expm1(2 h1);
 u = p expm1(2D).  The finite-N terms are exponentially small in h0, which
 is about N sqrt(delta) on the first row.  All three KL terms are >= 0 and
 each is taken without cancellation, so KL keeps its digits as SNR -> 0:
-the bracket by `sfcar.rates`, the other two by their series where they
-are O(D^2).  The subtraction of the whole trace from MI would lose them.
+the bracket by `sfcar.rates`, the other two by the series of
+expm1(z) - z where they are O(D^2): p (expm1(2D) - 2D) directly, and
+-log1p(-u) - u = L + expm1(-L) at L = -log1p(-u), as u = -expm1(-L).
+The subtraction of the whole trace from MI would lose them.
 """
 
-import math
-
-from sfcar.rates import _atanh_tail, _terms
-
-# 1/n! for n = 2..12: expm1(t) - t in Horner form, below 1e-19 of the sum
-# once truncated for t <= 0.1.
-_EXP_TAIL = tuple(1.0 / math.factorial(n) for n in range(12, 1, -1))
+from sfcar.rates import _sums
 
 
 def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
@@ -45,38 +41,8 @@ def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
     rows[i] = sin^2(w1 / 2).
     """
     n = len(columns)
-    half_n = 0.5 * n
     delta = 1.0 - 4.0 * zeta
-    sigma = snr / cnorm
-    inv_b = 0.5 / zeta if zeta else math.inf
-    log1p, exp, expm1, asinh = math.log1p, math.exp, math.expm1, math.asinh
     four_zeta = 4.0 * zeta
     nodes = ((delta + four_zeta * s2, 1.0 + four_zeta * s2, w) for s2, w in zip(rows, weights))
-    kli = mi = 0.0
-    for weight, r0, m, bracket in _terms(nodes, sigma):
-        # the finite-N corrections, from h0, h1 and D = h1 - h0
-        h0 = half_n * asinh(r0 * inv_b)
-        d = half_n * m
-        h1 = h0 + d
-        em0 = -expm1(-2.0 * h0)
-        em1 = -expm1(-2.0 * h1)
-        q = exp(-2.0 * h0) * -expm1(-2.0 * d)  # e^(-2 h0) - e^(-2 h1)
-        u = q / em1
-        p = exp(-2.0 * h1) / em1
-        log_ratio = log1p(q / em0)  # -log1p(-u) = log(em1 / em0)
-        mi += weight * (half_n * m + log_ratio)
-        if u <= 0.1:  # -log1p(-u) - u = u y + 2 atanh(y) - 2 y, y = u / (2 - u)
-            y = u / (2.0 - u)
-            u_term = u * y + _atanh_tail(y)
-        else:
-            u_term = log_ratio - u
-        t = d + d
-        if t <= 0.1:
-            tail = 0.0
-            for coef in _EXP_TAIL:
-                tail = tail * t + coef
-            p_term = p * t * t * tail
-        else:
-            p_term = u - t * p
-        kli += weight * (half_n * bracket * (1.0 + 2.0 * p) + u_term + p_term)
+    kli, mi = _sums(nodes, snr / cnorm, n, zeta)
     return kli / n, mi / n

@@ -16,8 +16,8 @@ is summed over all N frequencies in closed form (see `sfcar.kernels`), so
 the cost is O(N) and needs no array library.
 
 Per node, the result is the N-point trapezoid rule in w1 for the
-one-dimensional integrals of `sfcar.rates`, whose integrand (r0, x and
-the KL bracket) is evaluated by the same code, plus finite-N terms from
+one-dimensional integrals of `sfcar.rates`, summed by the same loop,
+`rates._sums`, that sums its quadrature rule, plus finite-N terms from
 the column sums in h0 = (N/2) asinh(r0 / 2 zeta), about N sqrt(delta) on
 the first row, delta = 1 - 4 zeta.  MI gains -log1p(-u)/N with
 u <= e^(-2 h0); KL gains the coth(h1) - 1 share of its bracket and two

@@ -35,26 +35,30 @@ x = (sigma/v)(1 + (A0 + A1)/(r0 + r1)) with v = A0 + r0, and the KL
 bracket is log1p(x) - sigma/r1.  It is O(SNR^2) at low SNR; where
 x <= 0.1 it is summed as the two cancellation-free terms
 x - sigma/r1 = sigma^2 ((A0 + A1)(1 + A1/(r0 + r1)) + r0) / (v r1 (r0 + r1))
-and log1p(x) - x.  `_terms` evaluates this integrand at a sequence of
-nodes (g, k, weight); its two consumers are the quadrature rule below and
-the rows of the torus oracle (`sfcar.kernels`).
+and log1p(x) - x.  `_sums` adds up this integrand over a sequence of
+nodes (g, k, weight) in one loop; its two callers are the quadrature rule
+below and the rows of the torus oracle (`sfcar.kernels`), whose finite-N
+terms the loop adds when it is given the torus size.
 
-Quadrature: one fixed Gauss-Legendre rule in a single pass.  With
+Quadrature: one trapezoid sum in a doubly mapped variable.  With
 t = tan(w/2), g = (delta + t^2)/(1 + t^2), so the integrand peaks at
-w = 0 with width sqrt(delta).  On w <= pi/2 the substitution
-t = sqrt(delta) sinh(u) makes delta + t^2 = delta cosh^2(u) and
-dw = 2 sqrt(delta) cosh(u) du / (1 + t^2), which takes the peak out:
-u in [0, asinh(1/sqrt(delta))] is cut into the fewest equal panels of
-length at most 1.5, each with the 12-point rule, and one more 12-point
-panel covers [pi/2, pi] in w.  That is
-12 (ceil(asinh(1/sqrt(delta)) / 1.5) + 1) nodes: 24 at zeta = 0 and at
-most 168, at the last double below 1/4 (delta = 2^-53).  Against the
-3,000 stored mpmath rates of the benchmark's rate plane (zeta up to
-1/4 - 1e-12, SNR 1e-6 to 1e4) the worst relative error is 1.6e-15, with
-76 nodes a call on average; against adaptive SciPy quadrature of the
-same integrals it is 2.0e-15 from zeta = 0 to the last double below
-1/4 and SNR from 2e-7 to 1e4.  Panels of length 2 would save a fifth
-of the nodes and lose two digits (2.6e-13).
+w = 0 with width sqrt(delta).  The substitution t = sqrt(delta) sinh(u)
+makes delta + t^2 = delta cosh^2(u) and dw = 2 sqrt(delta) cosh(u) du /
+(1 + t^2), which takes the peak out; the integrand is then analytic in
+the strip |Im u| < pi/2, where the trapezoid rule converges
+geometrically (Trefethen & Weideman, SIAM Review 56, 2014).  A second
+map u = v + beta sinh(v), beta = e^-(U + 2.5) with U = asinh(1/sqrt(delta)),
+leaves u ~ v up to U, where w = pi/2, and makes the weights beyond fall
+double-exponentially.  The integrand is even in v, so the rule is the
+sum over v = 0.24 j, j >= 0, with half weight at v = 0; it stops at the
+first node where u > U + 1 and the weight is below 1e-17.  That is 33
+nodes at zeta = 0 and 109 at the last double below 1/4 (delta = 2^-53).
+Against the 3,000 stored mpmath rates of the benchmark's rate plane
+(zeta up to 1/4 - 1e-12, SNR 1e-6 to 1e4) the worst relative error is
+1.5e-15, with 59.9 nodes a call on average; against adaptive SciPy
+quadrature of the same integrals it is 1.8e-15 from zeta = 0 to the
+last double below 1/4 and SNR from 2e-7 to 1e4.  A step of 0.26 would
+save 8% of the nodes and lose most of a digit (6.2e-15).
 """
 
 import math
@@ -63,25 +67,16 @@ from sfcar.errors import DomainError
 from sfcar.records import record
 from sfcar.special import complete_elliptic_k
 
-# Positive nodes and their weights of the 12-point Gauss-Legendre rule on
-# [-1, 1], correctly rounded from 50-digit values; the rule is symmetric.
-_GAUSS_HALF = (
-    (0.1252334085114689, 0.24914704581340277),
-    (0.3678314989981802, 0.2334925365383548),
-    (0.5873179542866175, 0.20316742672306592),
-    (0.7699026741943047, 0.16007832854334622),
-    (0.9041172563704749, 0.10693932599531843),
-    (0.9815606342467192, 0.04717533638651183),
-)
-_GAUSS = tuple((s * x, w) for x, w in _GAUSS_HALF for s in (-1.0, 1.0))
-_PANEL_LENGTH = 1.5
-# The panel on [pi/2, pi] in w: sin^2(w/2) and the weight at each node.
-_OUTER = tuple(
-    (math.sin(0.125 * math.pi * (3.0 + x)) ** 2, 0.25 * math.pi * w) for x, w in _GAUSS
-)
+_STEP = 0.24
+# (v, sinh v, cosh v) at v = 0.24 j for every node the rule can take: 109
+# at the smallest delta, 2^-53, and fewer for every larger delta.
+_GRID = tuple((j * _STEP, math.sinh(j * _STEP), math.cosh(j * _STEP)) for j in range(109))
 # 2 / (2j + 1) for j = 1..7: the atanh series of log1p(x) - x, truncated
 # where the next term is below 1e-19 of the sum (y^2 <= 0.0023 for x <= 0.1).
 _C3, _C5, _C7, _C9, _C11, _C13, _C15 = (2.0 / j for j in range(3, 16, 2))
+# 1/n! for n = 2..12: expm1(t) - t in Horner form, below 1e-19 of the sum
+# once truncated for |t| <= 0.1.
+_EXP_TAIL = tuple(1.0 / math.factorial(n) for n in range(12, 1, -1))
 
 
 class InfoRates(record("InfoRates", "kli mi")):
@@ -102,18 +97,24 @@ def info_rates(zeta: float, snr: float) -> InfoRates:
     delta = 1.0 - 4.0 * zeta
     if snr == 0.0 or delta == 0.0:
         return InfoRates(0.0, 0.0)
-    sigma = snr / _spectral_norm(zeta)
-    kli = mi = 0.0
-    for weight, _, m, bracket in _terms(_rule(delta), sigma):
-        mi += weight * m
-        kli += weight * bracket
+    kli, mi = _sums(_rule(delta), snr / _spectral_norm(zeta))
     return InfoRates(max(kli / (2.0 * math.pi), 0.0), max(mi / (2.0 * math.pi), 0.0))
 
 
-def _terms(nodes, sigma: float):
-    """Yield (weight, r0, log1p(x), bracket) at each (g, k, weight) of
-    nodes: g = (A0 - B)/c, k = (A0 + B)/c and the node's weight."""
+def _sums(nodes, sigma: float, n: int = 0, zeta: float = 0.0):
+    """Return (kli, mi): the sums over nodes (g, k, weight) of weight
+    times the KL bracket and log1p(x) at g = (A0 - B)/c, k = (A0 + B)/c.
+
+    Given a torus size n > 0, each node is instead a row of the n x n
+    torus at this zeta, and its two values become the row's sums over
+    its n columns: the finite-N terms derived in `sfcar.kernels` join in.
+    """
     sqrt, log1p = math.sqrt, math.log1p
+    if n:
+        half_n = 0.5 * n
+        inv_b = 0.5 / zeta if zeta else math.inf
+        exp, expm1, asinh = math.exp, math.expm1, math.asinh
+    kli = mi = 0.0
     for g, k, weight in nodes:
         a = 0.5 * (g + k)
         r0 = sqrt(g * k)
@@ -125,19 +126,46 @@ def _terms(nodes, sigma: float):
         if x > 0.1:
             if m == math.inf:  # x overflows once sigma is near the largest double
                 m = math.log(sigma / v) + log1p((a + a + sigma) / rsum)
-            yield weight, r0, m, m - sigma / r1
-            continue
-        a1 = a + sigma
-        head = sigma * sigma * ((a + a1) * (1.0 + a1 / rsum) + r0) / (v * r1 * rsum)
-        yield weight, r0, m, head + _atanh_tail(x / (2.0 + x)) - x * x / (2.0 + x)
-
-
-def _atanh_tail(y: float) -> float:
-    # 2 atanh(y) - 2 y for |y| <= 0.053: log1p(x) - x = 2 atanh(y) - 2 y - x y
-    # with y = x / (2 + x)
-    y2 = y * y
-    series = _C11 + y2 * (_C13 + y2 * _C15)
-    return y * y2 * (_C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series))))
+            bracket = m - sigma / r1
+        else:
+            # x - sigma/r1 without cancellation, plus log1p(x) - x =
+            # 2 atanh(y) - 2 y - x y with y = x / (2 + x), |y| <= 0.048
+            a1 = a + sigma
+            y = x / (2.0 + x)
+            y2 = y * y
+            series = _C11 + y2 * (_C13 + y2 * _C15)
+            bracket = (
+                sigma * sigma * ((a + a1) * (1.0 + a1 / rsum) + r0) / (v * r1 * rsum)
+                + y * y2 * (_C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series))))
+            ) - x * x / (2.0 + x)
+        if n:
+            # the finite-N terms, from h0, h1 and D = h1 - h0
+            h0 = half_n * asinh(r0 * inv_b)
+            d = half_n * m
+            h1 = h0 + d
+            em0 = -expm1(-2.0 * h0)
+            em1 = -expm1(-2.0 * h1)
+            q = exp(-2.0 * h0) * -expm1(-2.0 * d)  # e^(-2 h0) - e^(-2 h1)
+            u = q / em1
+            p = exp(-2.0 * h1) / em1
+            log_ratio = log1p(q / em0)  # -log1p(-u) = log(em1 / em0)
+            t = d + d
+            # (expm1(z) - z)/z^2 at z = -log_ratio and z = t, where needed:
+            # -log1p(-u) - u = log_ratio + expm1(-log_ratio), as
+            # u = -expm1(-log_ratio).  On most rows of a large torus
+            # log_ratio underflows to 0, and that term with it.
+            tail_u = tail_t = 0.0
+            if 0.0 < log_ratio <= 0.1 or t <= 0.1:
+                for coef in _EXP_TAIL:
+                    tail_u = coef - tail_u * log_ratio
+                    tail_t = tail_t * t + coef
+            u_term = log_ratio * log_ratio * tail_u if log_ratio <= 0.1 else log_ratio - u
+            p_term = p * t * t * tail_t if t <= 0.1 else u - t * p
+            m = half_n * m + log_ratio
+            bracket = half_n * bracket * (1.0 + 2.0 * p) + u_term + p_term
+        mi += weight * m
+        kli += weight * bracket
+    return kli, mi
 
 
 def _check_zeta_snr(zeta: float, snr: float) -> None:
@@ -157,20 +185,23 @@ def _rule(delta: float) -> list[tuple[float, float, float]]:
     g = (A0 - B)/c and k = (A0 + B)/c there, and the weight in w."""
     root = math.sqrt(delta)
     top = math.asinh(1.0 / root)
-    panels = math.ceil(top / _PANEL_LENGTH)
-    half = 0.5 * top / panels
-    scale = 2.0 * root * half  # dw/du = 2 sqrt(delta) cosh(u) / (1 + t^2)
+    beta = math.exp(-top - 2.5)
+    # weight = h (dw/du)(du/dv): dw/du = 2 sqrt(delta) cosh(u) / (1 + t^2)
+    # and du/dv = 1 + beta cosh(v)
+    scale = 2.0 * _STEP * root
+    end = top + 1.0
+    one_minus = 1.0 - delta
+    sinh, cosh = math.sinh, math.cosh
     rule = []
-    for p in range(panels):
-        mid = (2 * p + 1) * half
-        for x, w in _GAUSS:
-            u = mid + half * x
-            cosh_u = math.cosh(u)
-            t2 = delta * math.sinh(u) ** 2
-            q = 1.0 + t2
-            g = delta * cosh_u * cosh_u / q
-            rule.append((g, 1.0 + (1.0 - delta) * t2 / q, scale * w * cosh_u / q))
-    for s2, w in _OUTER:
-        h = (1.0 - delta) * s2
-        rule.append((delta + h, 1.0 + h, w))
+    for v, sinh_v, cosh_v in _GRID:
+        u = v + beta * sinh_v
+        sinh_u, cosh_u = sinh(u), cosh(u)
+        t2 = delta * sinh_u * sinh_u
+        q = 1.0 + t2
+        weight = scale * (1.0 + beta * cosh_v) * cosh_u / q
+        rule.append(((delta + t2) / q, 1.0 + one_minus * t2 / q, weight))
+        if u > end and weight < 1e-17:
+            break
+    g, k, weight = rule[0]
+    rule[0] = (g, k, 0.5 * weight)  # v = 0: the sum over v >= 0 of an even integrand
     return rule
