@@ -8,27 +8,38 @@ closed form, so only the rows are visited: O(N) work in plain Python.
 Work in units of c = (2/pi) K(4 zeta) and put sigma = SNR/c.  A row with
 sin^2(w1/2) = s has A0 - B = g = delta + 4 zeta s and A0 + B = k =
 1 + 4 zeta s, with B = 2 zeta and delta = 1 - 4 zeta; A1 = A0 + sigma,
-r0, x and the KL bracket are those of `sfcar.rates`, whose summing loop
-`_sums` evaluates them row by row and, given N, adds the finite-N terms
-derived here.  With cosh(2 h/N) = A/B for A = A0, A1 (h = h0, h1) the
-row's log-sum is N log(B/2) + 2 log 2 + 2 log sinh h and its sum of
-1/(A - B cos w2) is N coth(h)/r.  So
+r0, x and the KL bracket are those of `sfcar.rates`.  With
+cosh(2 h/N) = A/B for A = A0, A1 (h = h0, h1) the row's log-sum is
+N log(B/2) + 2 log 2 + 2 log sinh h and its sum of 1/(A - B cos w2) is
+N coth(h)/r.  So
 
     h0 = (N/2) asinh(r0 / (2 zeta)),  D = h1 - h0 = (N/2) log1p(x),
     row MI = (N/2) log1p(x) - log1p(-u),
     row KL = (N/2) bracket coth(h1) + [-log1p(-u) - u] + p (expm1(2D) - 2D),
 
 with u = e^(-2 h0) (1 - e^(-2D)) / (1 - e^(-2 h1)) and p = 1/expm1(2 h1);
-u = p expm1(2D).  The finite-N terms are exponentially small in h0, which
-is about N sqrt(delta) on the first row.  All three KL terms are >= 0 and
-each is taken without cancellation, so KL keeps its digits as SNR -> 0:
-the bracket by `sfcar.rates`, the other two by the series of
-expm1(z) - z where they are O(D^2): p (expm1(2D) - 2D) directly, and
--log1p(-u) - u = L + expm1(-L) at L = -log1p(-u), as u = -expm1(-L).
-The subtraction of the whole trace from MI would lose them.
+u = p expm1(2D) and coth(h1) = 1 + 2p.  The (N/2) log1p(x) and
+(N/2) bracket terms are the N-point trapezoid rule in w1: `rates._sums`
+over the rows, in blocks of 64 whose sums `math.fsum` adds, so that the
+rounding error does not grow with N.  The other, finite-N terms are
+exponentially small in h0, about N sqrt(delta) on the first row, and are
+added only on the rows where e^(-2 h0) > 0: none for any N at
+zeta <= 0.1.  All three KL terms are >= 0 and each is taken without
+cancellation, so KL keeps its digits as SNR -> 0: the bracket by
+`sfcar.rates`, the other two by the series of expm1(z) - z where they
+are O(D^2): p (expm1(2D) - 2D) directly, and -log1p(-u) - u =
+L + expm1(-L) at L = -log1p(-u), as u = -expm1(-L).  The subtraction of
+the whole trace from MI would lose them.
 """
 
+import math
+
 from sfcar.rates import _sums
+
+_BLOCK = 64
+# 1/n! for n = 2..12: expm1(t) - t in Horner form, below 1e-19 of the sum
+# once truncated for |t| <= 0.1.
+_EXP_TAIL = tuple(1.0 / math.factorial(n) for n in range(12, 1, -1))
 
 
 def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
@@ -41,8 +52,40 @@ def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
     rows[i] = sin^2(w1 / 2).
     """
     n = len(columns)
+    half_n = 0.5 * n
+    sigma = snr / cnorm
     delta = 1.0 - 4.0 * zeta
     four_zeta = 4.0 * zeta
-    nodes = ((delta + four_zeta * s2, 1.0 + four_zeta * s2, w) for s2, w in zip(rows, weights))
-    kli, mi = _sums(nodes, snr / cnorm, n, zeta)
-    return kli / n, mi / n
+    nodes = [(delta + four_zeta * s2, 1.0 + four_zeta * s2, w) for s2, w in zip(rows, weights)]
+    blocks = [_sums(nodes[i:i + _BLOCK], sigma) for i in range(0, len(nodes), _BLOCK)]
+    kl_blocks, mi_blocks = zip(*blocks)
+    kli = mi = 0.0
+    inv_b = 0.5 / zeta if zeta else math.inf
+    exp, expm1, log1p, asinh, sqrt = math.exp, math.expm1, math.log1p, math.asinh, math.sqrt
+    for g, k, weight in nodes:
+        h0 = half_n * asinh(sqrt(g * k) * inv_b)
+        e0 = exp(-2.0 * h0)
+        if e0 == 0.0:
+            continue
+        # the finite-N terms, from h0, h1 and D = h1 - h0
+        bracket, m = _sums(((g, k, 1.0),), sigma)
+        d = half_n * m
+        h1 = h0 + d
+        em0 = -expm1(-2.0 * h0)
+        em1 = -expm1(-2.0 * h1)
+        q = e0 * -expm1(-2.0 * d)  # e^(-2 h0) - e^(-2 h1)
+        u = q / em1
+        p = exp(-2.0 * h1) / em1
+        log_ratio = log1p(q / em0)  # -log1p(-u) = log(em1 / em0)
+        t = d + d
+        # (expm1(z) - z)/z^2 at z = -log_ratio and z = t, where needed
+        tail_u = tail_t = 0.0
+        if 0.0 < log_ratio <= 0.1 or t <= 0.1:
+            for coef in _EXP_TAIL:
+                tail_u = coef - tail_u * log_ratio
+                tail_t = tail_t * t + coef
+        u_term = log_ratio * log_ratio * tail_u if log_ratio <= 0.1 else log_ratio - u
+        p_term = p * t * t * tail_t if t <= 0.1 else u - t * p
+        mi += weight * log_ratio
+        kli += weight * (n * bracket * p + u_term + p_term)
+    return 0.5 * math.fsum(kl_blocks) + kli / n, 0.5 * math.fsum(mi_blocks) + mi / n

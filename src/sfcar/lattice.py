@@ -16,15 +16,11 @@ is summed over all N frequencies in closed form (see `sfcar.kernels`), so
 the cost is O(N) and needs no array library.
 
 Per node, the result is the N-point trapezoid rule in w1 for the
-one-dimensional integrals of `sfcar.rates`, summed by the same loop,
-`rates._sums`, that sums its quadrature rule, plus finite-N terms from
-the column sums in h0 = (N/2) asinh(r0 / 2 zeta), about N sqrt(delta) on
-the first row, delta = 1 - 4 zeta.  MI gains -log1p(-u)/N with
-u <= e^(-2 h0); KL gains the coth(h1) - 1 share of its bracket and two
-terms of order u^2 and u.  Both the rule's error and these terms are
-exponentially small in N sqrt(delta), which is why the torus converges
-to the asymptotic rates that fast, and why it does not once the lattice
-is shorter than a correlation length.
+one-dimensional integrals of `sfcar.rates`, plus the finite-N terms of
+`sfcar.kernels`.  Both the rule's error and these terms are
+exponentially small in N sqrt(delta), delta = 1 - 4 zeta, which is why
+the torus converges to the asymptotic rates that fast, and why it does
+not once the lattice is shorter than a correlation length.
 """
 
 import math
@@ -36,7 +32,7 @@ from sfcar.records import integer, record
 # Not called here; sfcarbench/spans.py wraps this module attribute by name.
 from sfcar.special import complete_elliptic_k  # noqa: F401
 
-# A cap on the CLI's --N: the sum is O(N) and takes 55-110 ms at
+# A cap on the CLI's --N: the sum is O(N) and takes 28-42 ms at
 # N = 65,536 on a 2-vCPU VM, the low-SNR series branches the slowest.
 TORUS_N_MAX = 65536
 

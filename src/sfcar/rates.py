@@ -36,9 +36,7 @@ bracket is log1p(x) - sigma/r1.  It is O(SNR^2) at low SNR; where
 x <= 0.1 it is summed as the two cancellation-free terms
 x - sigma/r1 = sigma^2 ((A0 + A1)(1 + A1/(r0 + r1)) + r0) / (v r1 (r0 + r1))
 and log1p(x) - x.  `_sums` adds up this integrand over a sequence of
-nodes (g, k, weight) in one loop; its two callers are the quadrature rule
-below and the rows of the torus oracle (`sfcar.kernels`), whose finite-N
-terms the loop adds when it is given the torus size.
+nodes (g, k, weight) in one loop.
 
 Quadrature: one trapezoid sum in a doubly mapped variable.  With
 t = tan(w/2), g = (delta + t^2)/(1 + t^2), so the integrand peaks at
@@ -74,9 +72,6 @@ _GRID = tuple((j * _STEP, math.sinh(j * _STEP), math.cosh(j * _STEP)) for j in r
 # 2 / (2j + 1) for j = 1..7: the atanh series of log1p(x) - x, truncated
 # where the next term is below 1e-19 of the sum (y^2 <= 0.0023 for x <= 0.1).
 _C3, _C5, _C7, _C9, _C11, _C13, _C15 = (2.0 / j for j in range(3, 16, 2))
-# 1/n! for n = 2..12: expm1(t) - t in Horner form, below 1e-19 of the sum
-# once truncated for |t| <= 0.1.
-_EXP_TAIL = tuple(1.0 / math.factorial(n) for n in range(12, 1, -1))
 
 
 class InfoRates(record("InfoRates", "kli mi")):
@@ -101,19 +96,10 @@ def info_rates(zeta: float, snr: float) -> InfoRates:
     return InfoRates(max(kli / (2.0 * math.pi), 0.0), max(mi / (2.0 * math.pi), 0.0))
 
 
-def _sums(nodes, sigma: float, n: int = 0, zeta: float = 0.0):
+def _sums(nodes, sigma: float):
     """Return (kli, mi): the sums over nodes (g, k, weight) of weight
-    times the KL bracket and log1p(x) at g = (A0 - B)/c, k = (A0 + B)/c.
-
-    Given a torus size n > 0, each node is instead a row of the n x n
-    torus at this zeta, and its two values become the row's sums over
-    its n columns: the finite-N terms derived in `sfcar.kernels` join in.
-    """
+    times the KL bracket and log1p(x) at g = (A0 - B)/c, k = (A0 + B)/c."""
     sqrt, log1p = math.sqrt, math.log1p
-    if n:
-        half_n = 0.5 * n
-        inv_b = 0.5 / zeta if zeta else math.inf
-        exp, expm1, asinh = math.exp, math.expm1, math.asinh
     kli = mi = 0.0
     for g, k, weight in nodes:
         a = 0.5 * (g + k)
@@ -138,31 +124,6 @@ def _sums(nodes, sigma: float, n: int = 0, zeta: float = 0.0):
                 sigma * sigma * ((a + a1) * (1.0 + a1 / rsum) + r0) / (v * r1 * rsum)
                 + y * y2 * (_C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series))))
             ) - x * x / (2.0 + x)
-        if n:
-            # the finite-N terms, from h0, h1 and D = h1 - h0
-            h0 = half_n * asinh(r0 * inv_b)
-            d = half_n * m
-            h1 = h0 + d
-            em0 = -expm1(-2.0 * h0)
-            em1 = -expm1(-2.0 * h1)
-            q = exp(-2.0 * h0) * -expm1(-2.0 * d)  # e^(-2 h0) - e^(-2 h1)
-            u = q / em1
-            p = exp(-2.0 * h1) / em1
-            log_ratio = log1p(q / em0)  # -log1p(-u) = log(em1 / em0)
-            t = d + d
-            # (expm1(z) - z)/z^2 at z = -log_ratio and z = t, where needed:
-            # -log1p(-u) - u = log_ratio + expm1(-log_ratio), as
-            # u = -expm1(-log_ratio).  On most rows of a large torus
-            # log_ratio underflows to 0, and that term with it.
-            tail_u = tail_t = 0.0
-            if 0.0 < log_ratio <= 0.1 or t <= 0.1:
-                for coef in _EXP_TAIL:
-                    tail_u = coef - tail_u * log_ratio
-                    tail_t = tail_t * t + coef
-            u_term = log_ratio * log_ratio * tail_u if log_ratio <= 0.1 else log_ratio - u
-            p_term = p * t * t * tail_t if t <= 0.1 else u - t * p
-            m = half_n * m + log_ratio
-            bracket = half_n * bracket * (1.0 + 2.0 * p) + u_term + p_term
         mi += weight * m
         kli += weight * bracket
     return kli, mi

@@ -1,4 +1,7 @@
+import json
 import math
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +38,70 @@ class TestClosedForm:
         rates = torus_rates(0.12459, 1.15e-6, TorusSpec(4))
         assert rates.kli == pytest.approx(kli, rel=1e-13, abs=0.0)
         assert rates.mi == pytest.approx(mi, rel=1e-13, abs=0.0)
+
+
+class TestRowSum:
+    # at zeta = 0 (and 1e-300, where the spectrum differs from flat by
+    # O(zeta^2)) every row carries the same terms, and the exact rates
+    # are 0.5 ln(1 + s) and 0.5 ln(1 + s) - 0.5 s / (1 + s); a plain
+    # running sum over the N/2 + 1 rows would let its rounding error grow
+    # with N (5.6e-13 at N = 65,536)
+    @pytest.mark.parametrize("n", [512, 2048, 4096, 65535, 65536])
+    def test_flat_spectrum_against_decimal(self, n):
+        for zeta in (0.0, 1e-300):
+            for snr in (1e-3, 1.0, 1e4):
+                rates = torus_rates(zeta, snr, TorusSpec(n))
+                with localcontext() as ctx:
+                    ctx.prec = 40
+                    s = Decimal(snr)
+                    mi = (1 + s).ln() / 2
+                    kli = mi - s / (2 * (1 + s))
+                assert rates.mi == pytest.approx(float(mi), rel=2e-15, abs=0.0)
+                assert rates.kli == pytest.approx(float(kli), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "zeta,sizes,most",
+        [(0.0, (512, 4096, 65536), 0), (0.1, (512, 4096, 65536), 0),
+         (0.25 - 1e-12, (4096, 65536), 120)],
+    )
+    def test_finite_n_terms_only_where_nonzero(self, monkeypatch, zeta, sizes, most):
+        # a row's finite-N terms take its bracket and log1p(x) from one
+        # single-node, unit-weight call of _sums; they are computed only
+        # where e^(-2 h0) > 0, which is no row at all once N sqrt(delta)
+        # is large (119 rows at zeta = 1/4 - 1e-12 for both sizes)
+        original = kernels._sums
+        for n in sizes:
+            corrected = []
+
+            def counting(nodes, sigma):
+                if len(nodes) == 1 and nodes[0][2] == 1.0:
+                    corrected.append(nodes[0])
+                return original(nodes, sigma)
+
+            monkeypatch.setattr(kernels, "_sums", counting)
+            torus_rates(zeta, 1.0, TorusSpec(n))
+            assert len(corrected) <= most, (n, len(corrected))
+
+
+class TestStoredReference:
+    # the 54 torus values of the benchmark's reference file: 18 points,
+    # zeta from 0.017 to 1/4 - 4e-12 and SNR from 3e-6 to 1.4e3, at
+    # N = 512, 2048 and 4096, from 30-digit mpmath; read only
+    CELLS = json.loads(
+        (Path(__file__).resolve().parents[1] / "sfcarbench" / "reference.json").read_text()
+    )["torus"]["cells"]
+
+    def test_torus_values(self):
+        checked = 0
+        for cell in self.CELLS:
+            for point in cell:
+                for size, (kli, mi) in point["torus"].items():
+                    rates = torus_rates(point["zeta"], point["snr"], TorusSpec(int(size)))
+                    where = (point["zeta"], point["snr"], size)
+                    assert rates.kli == pytest.approx(kli, rel=5e-15, abs=0.0), where
+                    assert rates.mi == pytest.approx(mi, rel=5e-15, abs=0.0), where
+                    checked += 1
+        assert checked == 54
 
 
 class TestDispatch:
