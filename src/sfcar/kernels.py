@@ -26,20 +26,17 @@ exponentially small in h0, about N sqrt(delta) on the first row, and are
 added only on the rows where e^(-2 h0) > 0: none for any N at
 zeta <= 0.1.  All three KL terms are >= 0 and each is taken without
 cancellation, so KL keeps its digits as SNR -> 0: the bracket by
-`sfcar.rates`, the other two by the series of expm1(z) - z where they
-are O(D^2): p (expm1(2D) - 2D) directly, and -log1p(-u) - u =
-L + expm1(-L) at L = -log1p(-u), as u = -expm1(-L).  The subtraction of
-the whole trace from MI would lose them.
+`sfcar.rates`, and, within `rates._SEAM`, the other two by its
+phi(w) = w - log1p(w), as p phi(expm1(2D)) and phi(expm1(-L)) at
+L = -log1p(-u), u = -expm1(-L); `kernels` keeps no series of its own.
+The subtraction of the whole trace from MI would lose them.
 """
 
 import math
 
-from sfcar.rates import _sums
+from sfcar.rates import _SEAM, _phi, _sums
 
 _BLOCK = 64
-# 1/n! for n = 2..12: expm1(t) - t in Horner form, below 1e-19 of the sum
-# once truncated for |t| <= 0.1.
-_EXP_TAIL = tuple(1.0 / math.factorial(n) for n in range(12, 1, -1))
 
 
 def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
@@ -78,14 +75,11 @@ def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
         p = exp(-2.0 * h1) / em1
         log_ratio = log1p(q / em0)  # -log1p(-u) = log(em1 / em0)
         t = d + d
-        # (expm1(z) - z)/z^2 at z = -log_ratio and z = t, where needed
-        tail_u = tail_t = 0.0
-        if 0.0 < log_ratio <= 0.1 or t <= 0.1:
-            for coef in _EXP_TAIL:
-                tail_u = coef - tail_u * log_ratio
-                tail_t = tail_t * t + coef
-        u_term = log_ratio * log_ratio * tail_u if log_ratio <= 0.1 else log_ratio - u
-        p_term = p * t * t * tail_t if t <= 0.1 else u - t * p
+        # -u from the log_ratio that MI sums; t is tested before expm1(t),
+        # which overflows past t = 709.8 (expm1(0.2) = 0.221 <= _SEAM)
+        minus_u = expm1(-log_ratio)
+        u_term = _phi(minus_u) if minus_u >= -_SEAM else log_ratio - u
+        p_term = p * _phi(expm1(t)) if t <= 0.2 else u - t * p
         mi += weight * log_ratio
         kli += weight * (n * bracket * p + u_term + p_term)
     return 0.5 * math.fsum(kl_blocks) + kli / n, 0.5 * math.fsum(mi_blocks) + mi / n

@@ -33,10 +33,13 @@ zeta -> 1/4, and r1 = sqrt(g + sigma) sqrt(k + sigma), its factors
 rooted apart so that no product overflows for any finite SNR.  Then
 x = (sigma/v)(1 + (A0 + A1)/(r0 + r1)) with v = A0 + r0, and the KL
 bracket is log1p(x) - sigma/r1.  It is O(SNR^2) at low SNR; where
-x <= 0.1 it is summed as the two cancellation-free terms
+x <= _SEAM = 0.25 it is the cancellation-free
 x - sigma/r1 = sigma^2 ((A0 + A1)(1 + A1/(r0 + r1)) + r0) / (v r1 (r0 + r1))
-and log1p(x) - x.  `_sums` adds up this integrand over a sequence of
-nodes (g, k, weight) in one loop.
+less phi(x) = x - log1p(x), which `_phi`, the one series for phi (the
+torus's finite-N terms call it too), sums in y = x/(2 + x).  Above the
+seam the two terms cancel at most tenfold: at zeta = 0 KLI is within
+3.4e-15 of 0.5 log1p(s) - 0.5 s/(1 + s) for s in [0.01, 30], MI 1e-15.
+`_sums` adds up this integrand over nodes (g, k, weight) in one loop.
 
 Quadrature: one trapezoid sum in a doubly mapped variable.  With
 t = tan(w/2), g = (delta + t^2)/(1 + t^2), so the integrand peaks at
@@ -53,7 +56,7 @@ first node where u > U + 1 and the weight is below 1e-17.  That is 33
 nodes at zeta = 0 and 109 at the last double below 1/4 (delta = 2^-53).
 Against the 3,000 stored mpmath rates of the benchmark's rate plane
 (zeta up to 1/4 - 1e-12, SNR 1e-6 to 1e4) the worst relative error is
-1.5e-15, with 59.9 nodes a call on average; against adaptive SciPy
+1.45e-15, with 59.9 nodes a call on average; against adaptive SciPy
 quadrature of the same integrals it is 1.8e-15 from zeta = 0 to the
 last double below 1/4 and SNR from 2e-7 to 1e4.  A step of 0.26 would
 save 8% of the nodes and lose most of a digit (6.2e-15).
@@ -69,9 +72,10 @@ _STEP = 0.24
 # (v, sinh v, cosh v) at v = 0.24 j for every node the rule can take: 109
 # at the smallest delta, 2^-53, and fewer for every larger delta.
 _GRID = tuple((j * _STEP, math.sinh(j * _STEP), math.cosh(j * _STEP)) for j in range(109))
-# 2 / (2j + 1) for j = 1..7: the atanh series of log1p(x) - x, truncated
-# where the next term is below 1e-19 of the sum (y^2 <= 0.0023 for x <= 0.1).
-_C3, _C5, _C7, _C9, _C11, _C13, _C15 = (2.0 / j for j in range(3, 16, 2))
+_SEAM = 0.25  # up to this |w| both callers take w - log1p(w) from `_phi`
+# 2 / (2j + 1) for j = 1..9: the atanh series of `_phi`, truncated where the
+# next term is below 5e-18 of the sum (|y| <= 1/7 for |w| <= _SEAM).
+_C3, _C5, _C7, _C9, _C11, _C13, _C15, _C17, _C19 = (2.0 / j for j in range(3, 20, 2))
 
 
 class InfoRates(record("InfoRates", "kli mi")):
@@ -99,7 +103,7 @@ def info_rates(zeta: float, snr: float) -> InfoRates:
 def _sums(nodes, sigma: float):
     """Return (kli, mi): the sums over nodes (g, k, weight) of weight
     times the KL bracket and log1p(x) at g = (A0 - B)/c, k = (A0 + B)/c."""
-    sqrt, log1p = math.sqrt, math.log1p
+    sqrt, log1p, phi = math.sqrt, math.log1p, _phi
     kli = mi = 0.0
     for g, k, weight in nodes:
         a = 0.5 * (g + k)
@@ -109,24 +113,26 @@ def _sums(nodes, sigma: float):
         rsum = r0 + r1
         x = (sigma / v) * (1.0 + (a + a + sigma) / rsum)
         m = log1p(x)
-        if x > 0.1:
+        if x > _SEAM:
             if m == math.inf:  # x overflows once sigma is near the largest double
                 m = math.log(sigma / v) + log1p((a + a + sigma) / rsum)
             bracket = m - sigma / r1
         else:
-            # x - sigma/r1 without cancellation, plus log1p(x) - x =
-            # 2 atanh(y) - 2 y - x y with y = x / (2 + x), |y| <= 0.048
+            # x - sigma/r1 without cancellation, less x - log1p(x)
             a1 = a + sigma
-            y = x / (2.0 + x)
-            y2 = y * y
-            series = _C11 + y2 * (_C13 + y2 * _C15)
-            bracket = (
-                sigma * sigma * ((a + a1) * (1.0 + a1 / rsum) + r0) / (v * r1 * rsum)
-                + y * y2 * (_C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series))))
-            ) - x * x / (2.0 + x)
+            bracket = sigma * sigma * ((a + a1) * (1.0 + a1 / rsum) + r0) / (v * r1 * rsum) - phi(x)
         mi += weight * m
         kli += weight * bracket
     return kli, mi
+
+
+def _phi(w: float) -> float:
+    """w - log1p(w) >= 0 for |w| <= _SEAM, without cancellation: with
+    y = w / (2 + w), log1p(w) = 2 atanh(y) and w - 2 y = w y."""
+    y = w / (2.0 + w)
+    y2 = y * y
+    series = _C11 + y2 * (_C13 + y2 * (_C15 + y2 * (_C17 + y2 * _C19)))
+    return w * y - y * y2 * (_C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series))))
 
 
 def _check_zeta_snr(zeta: float, snr: float) -> None:

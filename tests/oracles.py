@@ -279,6 +279,38 @@ def rates_by_snr_integral(zeta: float, snr: float) -> tuple[float, float]:
     return rates[0], rates[1]
 
 
+def mean_log_d(zeta: float) -> float:
+    """<log D> for D = 1 - 2 zeta (cos w1 + cos w2), averaged over the
+    frequency square, for 0 <= zeta <= 1/4.
+
+    As SNR -> inf, mi -> (1/2) log(snr / c) - (1/2) <log D> and kli -> mi - 1/2.
+    The lattice Green's function gives d<log D>/d zeta = -(c - 1)/zeta, with
+    c = (2/pi) K(4 zeta), so <log D> = -int_0^zeta (c(z) - 1)/z dz; at
+    zeta = 1/4 it is 4G/pi - ln 4 (G Catalan's constant), the square
+    lattice's spanning-tree entropy less ln 4.  SciPy's quad integrates it
+    in v = -log(1 - 4z), dz = e^-v dv / 4, which turns the logarithmic peak
+    of K at z = 1/4 into a tail v e^-v.  c - 1 is summed from its power
+    series below z = 1/8, where it cancels, and from ellipkm1 of the exact
+    1 - 16 z^2 = e^-v (2 - e^-v) above.
+    """
+
+    def integrand(v: float) -> float:
+        d = math.exp(-v)  # 1 - 4z
+        if d == 0.0:  # v past 745, where the tail is below 1e-300
+            return 0.0
+        z = -0.25 * math.expm1(-v)
+        if z < 0.125:
+            c_minus_one = _k_series(16.0 * z * z)
+        else:
+            c_minus_one = (2.0 / math.pi) * ellipkm1(d * (2.0 - d)) - 1.0
+        return 0.25 * d * c_minus_one / z
+
+    if zeta == 0.0:
+        return 0.0
+    top = -math.log1p(-4.0 * zeta) if zeta < 0.25 else math.inf
+    return -quad(integrand, 0.0, top, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
 def _log1p_minus_x(x: float) -> float:
     # log(1 + x) - x for 0 <= x <= 0.1 without cancellation:
     # log(1 + x) = 2 atanh(y) with y = x / (2 + x), and x - 2y = x^2 / (2 + x).

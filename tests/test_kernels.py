@@ -3,6 +3,7 @@ import math
 from decimal import Decimal, localcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sfcar
@@ -38,6 +39,23 @@ class TestClosedForm:
         rates = torus_rates(0.12459, 1.15e-6, TorusSpec(4))
         assert rates.kli == pytest.approx(kli, rel=1e-13, abs=0.0)
         assert rates.mi == pytest.approx(mi, rel=1e-13, abs=0.0)
+
+
+class TestSeam:
+    # on small tori near 1/4 the finite-N terms are large, and the arguments
+    # of rates._phi in -log1p(-u) - u and expm1(2D) - 2D fall on both sides
+    # of the seam; against the 40-digit decimal sum over all N^2 frequencies
+    # (worst seen 1.8e-15 in KLI)
+    ZETAS = (0.1, 0.15, 0.194, 0.2, 0.22, 0.24, 0.249, 0.2499, 0.25 - 1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_small_tori_against_decimal(self, n):
+        for zeta in self.ZETAS:
+            for snr in np.logspace(-2, 0, 40):
+                rates = torus_rates(zeta, float(snr), TorusSpec(n))
+                kli, mi = torus_rates_decimal(zeta, float(snr), n)
+                assert rates.kli == pytest.approx(kli, rel=2.5e-15, abs=0.0), (zeta, snr)
+                assert rates.mi == pytest.approx(mi, rel=2.5e-15, abs=0.0), (zeta, snr)
 
 
 class TestRowSum:

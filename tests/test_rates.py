@@ -10,6 +10,8 @@ from scipy.special import ellipk, ellipkm1
 from sfcar.errors import DomainError
 from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.rates import (
+    _SEAM,
+    _phi,
     _rule,
     _spectral_norm,
     _sums,
@@ -19,10 +21,13 @@ from sfcar.rates import (
 from sfcar.special import complete_elliptic_k
 
 from oracles import (
+    _DECIMAL_PI,
+    _cnorm_minus_one,
     _log1p_minus_x,
     ellipk_integral,
     kli_rate_1d,
     low_snr_kli,
+    mean_log_d,
     mi_rate_1d,
     rates_by_snr_integral,
     spectral_ratio,
@@ -235,18 +240,18 @@ class TestSnrIntegral:
 
 
 class TestBracketSeam:
-    # The KL bracket switches from log1p(x) - sigma/r1 to its series form at
-    # x = 0.1.  At each node (g, k) sigma is put just below and just above
-    # the seam, found in closed form: with A1 = a + sigma, r1 =
-    # sqrt((g + sigma)(k + sigma)) and v = a + r0, A1 + r1 = 1.1 v at
-    # sigma = (c^2 - g k) / (2 (a + c)), c = 1.1 v - a.  Both values are
-    # checked against 50-digit decimal arithmetic (worst seen 5.5e-15 over
-    # 156 points).
+    # The KL bracket switches from log1p(x) - sigma/r1 to x - sigma/r1 less
+    # _phi(x) at x = _SEAM.  At each node (g, k) sigma is put just below and
+    # just above the seam, found in closed form: with A1 = a + sigma, r1 =
+    # sqrt((g + sigma)(k + sigma)) and v = a + r0, A1 + r1 = (1 + _SEAM) v at
+    # sigma = (c^2 - g k) / (2 (a + c)), c = (1 + _SEAM) v - a.  Both values
+    # are checked against 50-digit decimal arithmetic (worst seen 2.7e-15
+    # over 136 points).
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2, 0.2499, float(np.nextafter(0.25, 0.0))])
     def test_matches_decimal_on_both_sides(self, zeta):
         for g, k, _ in _rule(1.0 - 4.0 * zeta)[::4]:
             a, r0 = 0.5 * (g + k), math.sqrt(g * k)
-            c = 1.1 * (a + r0) - a
+            c = (1.0 + _SEAM) * (a + r0) - a
             seam = (c * c - g * k) / (2.0 * (a + c))
             for sigma, above in ((seam * (1.0 - 1e-9), False), (seam * (1.0 + 1e-9), True)):
                 bracket, m = _sums([(g, k, 1.0)], sigma)
@@ -257,9 +262,60 @@ class TestBracketSeam:
                     ratio = ((dg + dk) / 2 + ds + r1) / ((dg + dk) / 2 + (dg * dk).sqrt())
                     exact_m = ratio.ln()
                     exact_bracket = exact_m - ds / r1
-                    assert (ratio - 1 > Decimal("0.1")) == above
+                    assert (ratio - 1 > Decimal(_SEAM)) == above
                 assert m == pytest.approx(float(exact_m), rel=2e-14, abs=0.0)
                 assert bracket == pytest.approx(float(exact_bracket), rel=2e-14, abs=0.0)
+
+    def test_flat_spectrum_across_the_seam(self):
+        # at zeta = 0, x = s on every node, and the rates are exactly
+        # 0.5 ln(1 + s) - 0.5 s / (1 + s) and 0.5 ln(1 + s); 4,000 s across
+        # the seam against 40-digit decimal (worst seen 3.4e-15 in KLI, at
+        # s = 0.277 just above the seam, where log1p(x) and sigma/r1 cancel
+        # ninefold, and 1.0e-15 in MI)
+        for snr in np.logspace(-2, math.log10(30.0), 4000):
+            rates = info_rates(0.0, float(snr))
+            with localcontext() as ctx:
+                ctx.prec = 40
+                s = Decimal(float(snr))
+                mi = (1 + s).ln() / 2
+                kli = mi - s / (2 * (1 + s))
+            assert rates.kli == pytest.approx(float(kli), rel=3.5e-15, abs=0.0), snr
+            assert rates.mi == pytest.approx(float(mi), rel=1.5e-15, abs=0.0), snr
+
+    def test_phi_matches_decimal(self):
+        # w - log1p(w) over the whole range the callers give it; only the
+        # torus's finite-N terms pass w < 0 (worst seen 4.4e-16)
+        for w in np.linspace(-_SEAM, _SEAM, 2001):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                exact = Decimal(float(w)) - (1 + Decimal(float(w))).ln()
+            assert _phi(float(w)) == pytest.approx(float(exact), rel=5e-16, abs=0.0), w
+
+
+class TestHighSnrClosedForm:
+    # As SNR -> inf, mi -> (1/2) log(SNR / c) - (1/2) <log D> and
+    # kli -> mi - 1/2, with the O(1/SNR) rest below an ulp from SNR = 1e100
+    # on; 1.7e308 takes log1p(x) in two parts, as x overflows there (worst
+    # seen 4.4e-16)
+
+    def test_oracle_at_the_quarter(self):
+        # <log D> at zeta = 1/4 is 4G/pi - ln 4, G Catalan's constant
+        # (worst seen 8.9e-16)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            catalan = Decimal("0.9159655941772190150546035149323841107741")
+            exact = 4 * catalan / _DECIMAL_PI - Decimal(4).ln()
+        assert mean_log_d(0.25) == pytest.approx(float(exact), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2, 0.24])
+    def test_intercept(self, zeta):
+        log_d = mean_log_d(zeta)
+        c = 1.0 + _cnorm_minus_one(zeta)
+        for snr in (1e100, 1e200, 1e300, 1.7e308):
+            rates = info_rates(zeta, snr)
+            mi = 0.5 * math.log(snr / c) - 0.5 * log_d
+            assert rates.mi == pytest.approx(mi, rel=2e-15, abs=0.0), snr
+            assert rates.kli == pytest.approx(mi - 0.5, rel=2e-15, abs=0.0), snr
 
 
 class TestQuadratureScheme:
