@@ -5,10 +5,11 @@ DFT grid.  Along the column axis the Chebyshev product identity
 prod_k (x - cos 2 pi k / N) = 2^(1-N) (T_N(x) - 1) sums each row in
 closed form, so only the rows are visited: O(N) work in plain Python.
 
-Work in units of c = (2/pi) K(4 zeta) and put sigma = SNR/c.  A row with
-sin^2(w1/2) = s has A0 - B = g = delta + 4 zeta s and A0 + B = k =
-1 + 4 zeta s, with B = 2 zeta and delta = 1 - 4 zeta; A1 = A0 + sigma,
-r0, x and the KL bracket are those of `sfcar.rates`.  With
+Work in units of c = (2/pi) K(4 zeta) and put sigma = SNR/c.  Each row
+is given as sin^2(w1/2), the node h of `rates._sums`, and has
+A0 - B = g = delta + (1 - delta) h and A0 + B = k = 1 + (1 - delta) h,
+with B = 2 zeta and delta = 1 - 4 zeta; A1 = A0 + sigma, r0, x and the
+KL bracket are those of `sfcar.rates`.  With
 cosh(2 h/N) = A/B for A = A0, A1 (h = h0, h1) the row's log-sum is
 N log(B/2) + 2 log 2 + 2 log sinh h and its sum of 1/(A - B cos w2) is
 N coth(h)/r.  So
@@ -20,14 +21,14 @@ N coth(h)/r.  So
 with u = e^(-2 h0) (1 - e^(-2D)) / (1 - e^(-2 h1)) and p = 1/expm1(2 h1);
 u = p expm1(2D) and coth(h1) = 1 + 2p.  The (N/2) log1p(x) and
 (N/2) bracket terms are the N-point trapezoid rule in w1: `rates._sums`
-over the rows, in blocks of 64 whose sums `math.fsum` adds, so that the
-rounding error does not grow with N.  The other, finite-N terms are
-exponentially small in h0, about N sqrt(delta) on the first row, and are
-added only on the rows where e^(-2 h0) > 0: none for any N at
-zeta <= 0.1.  All three KL terms are >= 0 and each is taken without
-cancellation, so KL keeps its digits as SNR -> 0: the bracket by
-`sfcar.rates`, and, within `rates._SEAM`, the other two by its
-phi(w) = w - log1p(w), as p phi(expm1(2D)) and phi(expm1(-L)) at
+over the rows and their weights, in blocks of 64 whose sums `math.fsum`
+adds, so that the rounding error does not grow with N.  The other,
+finite-N terms are exponentially small in h0, about N sqrt(delta) on
+the first row, and are added only on the rows where e^(-2 h0) > 0: none
+for any N at zeta <= 0.1.  All three KL terms are >= 0 and each is
+taken without cancellation, so KL keeps its digits as SNR -> 0: the
+bracket by `sfcar.rates`, and, within `rates._SEAM`, the other two by
+its phi(w) = w - log1p(w), as p phi(expm1(2D)) and phi(expm1(-L)) at
 L = -log1p(-u), u = -expm1(-L); `kernels` keeps no series of its own.
 The subtraction of the whole trace from MI would lose them.
 """
@@ -52,20 +53,21 @@ def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
     half_n = 0.5 * n
     sigma = snr / cnorm
     delta = 1.0 - 4.0 * zeta
-    four_zeta = 4.0 * zeta
-    nodes = [(delta + four_zeta * s2, 1.0 + four_zeta * s2, w) for s2, w in zip(rows, weights)]
-    blocks = [_sums(nodes[i:i + _BLOCK], sigma) for i in range(0, len(nodes), _BLOCK)]
+    spread = 1.0 - delta
+    nodes = list(zip(rows, weights))
+    blocks = [_sums(delta, nodes[i:i + _BLOCK], sigma) for i in range(0, len(nodes), _BLOCK)]
     kl_blocks, mi_blocks = zip(*blocks)
     kli = mi = 0.0
     inv_b = 0.5 / zeta if zeta else math.inf
     exp, expm1, log1p, asinh, sqrt = math.exp, math.expm1, math.log1p, math.asinh, math.sqrt
-    for g, k, weight in nodes:
-        h0 = half_n * asinh(sqrt(g * k) * inv_b)
+    for row, weight in nodes:
+        lift = spread * row
+        h0 = half_n * asinh(sqrt((delta + lift) * (1.0 + lift)) * inv_b)
         e0 = exp(-2.0 * h0)
         if e0 == 0.0:
             continue
         # the finite-N terms, from h0, h1 and D = h1 - h0
-        bracket, m = _sums(((g, k, 1.0),), sigma)
+        bracket, m = _sums(delta, ((row, 1.0),), sigma)
         d = half_n * m
         h1 = h0 + d
         em0 = -expm1(-2.0 * h0)

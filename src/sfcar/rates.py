@@ -27,8 +27,8 @@ B = 2 c zeta this leaves one dimension,
 where 1 + x = (A1 + r1)/(A0 + r0).  Everything is written in
 delta = 1 - 4 zeta, exact for every double zeta >= 1/8, and in units
 of c: from here on A0, A1, r0 and r1 stand for their values over c, and
-sigma = SNR/c.  With h = (1 - delta) sin^2(w/2), A0 -+ B are
-g = delta + h and k = 1 + h, so r0 = sqrt(g k) stays accurate as
+sigma = SNR/c.  With h = sin^2(w/2), A0 -+ B are g = delta + (1 - delta) h
+and k = 1 + (1 - delta) h, so r0 = sqrt(g k) stays accurate as
 zeta -> 1/4, and r1 = sqrt(g + sigma) sqrt(k + sigma), its factors
 rooted apart so that no product overflows for any finite SNR.  Then
 x = (sigma/v)(1 + (A0 + A1)/(r0 + r1)) with v = A0 + r0, and the KL
@@ -38,30 +38,38 @@ x - sigma/r1 = sigma^2 ((A0 + A1)(1 + A1/(r0 + r1)) + r0) / (v r1 (r0 + r1))
 less phi(x) = x - log1p(x), which `_phi`, the one series for phi (the
 torus's finite-N terms call it too), sums in y = x/(2 + x).  Above the
 seam the two terms cancel at most tenfold: at zeta = 0 KLI is within
-3.4e-15 of 0.5 log1p(s) - 0.5 s/(1 + s) for s in [0.01, 30], MI 1e-15.
-`_sums` adds up this integrand over nodes (g, k, weight) in one loop.
+3.1e-15 of 0.5 log1p(s) - 0.5 s/(1 + s) for s in [0.01, 30], MI 1.1e-15.
+`_sums` adds up this integrand over nodes (h, weight) in one loop.
 
 Quadrature: one trapezoid sum in a doubly mapped variable.  With
-t = tan(w/2), g = (delta + t^2)/(1 + t^2), so the integrand peaks at
-w = 0 with width sqrt(delta).  The substitution t = sqrt(delta) sinh(u)
-makes delta + t^2 = delta cosh^2(u) and dw = 2 sqrt(delta) cosh(u) du /
-(1 + t^2), which takes the peak out; the integrand is then analytic in
-the strip |Im u| < pi/2, where the trapezoid rule converges
-geometrically (Trefethen & Weideman, SIAM Review 56, 2014).  A second
-map u = v + beta sinh(v), beta = e^-(U + 2.5) with U = asinh(1/sqrt(delta)),
-leaves u ~ v up to U, where w = pi/2, and makes the weights beyond fall
-double-exponentially.  The integrand is even in v, so the rule is the
-sum over v = 0.24 j, j >= 0, with half weight at v = 0; it stops at the
-first node where u > U + 1 and the weight is below 1e-17.  That is 33
-nodes at zeta = 0 and 109 at the last double below 1/4 (delta = 2^-53).
-Against the 3,000 stored mpmath rates of the benchmark's rate plane
-(zeta up to 1/4 - 1e-12, SNR 1e-6 to 1e4) the worst relative error is
-1.45e-15, with 59.9 nodes a call on average; against adaptive SciPy
-quadrature of the same integrals it is 1.8e-15 from zeta = 0 to the
-last double below 1/4 and SNR from 2e-7 to 1e4.  A step of 0.26 would
-save 8% of the nodes and lose most of a digit (6.2e-15).
+t = tan(w/2), h = t^2/(1 + t^2) and g = (delta + t^2)/(1 + t^2), so the
+integrand peaks at w = 0 with width sqrt(delta).  The substitution
+t = sqrt(a) sinh(u), with the anchor a the largest power of two <= delta,
+makes dw = 2 sqrt(a) cosh(u) du / (1 + t^2) and takes the peak out: the
+integrand's singularities, t = +-i sqrt(delta) and t = +-i, sit at
+u = +-acosh(sqrt(delta/a)) + i pi/2 and u = +-acosh(1/sqrt(a)) + i pi/2,
+so for every delta in [a, 2a) it is analytic in the strip |Im u| < pi/2,
+where the trapezoid rule converges geometrically (Trefethen & Weideman,
+SIAM Review 56, 2014).  A second map u = v + beta sinh(v),
+beta = e^-(U + 2) with U = asinh(1/sqrt(a)), leaves u ~ v up to U,
+where w = pi/2, and makes the weights beyond fall double-exponentially.
+The integrand is even in v, so the rule is the sum over v = 0.24 j,
+j >= 0, with half weight at v = 0; it stops at the first node where
+u > U + 1 and the weight is below 1e-17.  That is 31 nodes at zeta = 0
+and 107 at the last double below 1/4 (delta = 2^-53).  The nodes
+depend on delta only through its anchor, so `_table` builds them once
+per octave, on first use: at most 54 tables, as delta lies in
+[2^-53, 1] for every double zeta < 1/4.  Against the 3,000 stored
+mpmath rates of the benchmark's rate plane (zeta up to 1/4 - 1e-12,
+SNR 1e-6 to 1e4) the worst relative error is below 1.5e-15 (1.33e-15),
+with 58.6 nodes a call on average; against adaptive SciPy quadrature of
+the same integrals it is below 1.8e-15 (1.55e-15) from zeta = 0 to the
+last double below 1/4 and SNR from 2e-7 to 1e4, the tops of the
+octaves, where delta is farthest from its anchor, included.  A step of
+0.26 would save 7% of the nodes and double the worst error (2.9e-15).
 """
 
+import functools
 import math
 
 from sfcar.errors import DomainError
@@ -69,9 +77,6 @@ from sfcar.records import record
 from sfcar.special import complete_elliptic_k
 
 _STEP = 0.24
-# (v, sinh v, cosh v) at v = 0.24 j for every node the rule can take: 109
-# at the smallest delta, 2^-53, and fewer for every larger delta.
-_GRID = tuple((j * _STEP, math.sinh(j * _STEP), math.cosh(j * _STEP)) for j in range(109))
 _SEAM = 0.25  # up to this |w| both callers take w - log1p(w) from `_phi`
 # 2 / (2j + 1) for j = 1..9: the atanh series of `_phi`, truncated where the
 # next term is below 5e-18 of the sum (|y| <= 1/7 for |w| <= _SEAM).
@@ -96,16 +101,21 @@ def info_rates(zeta: float, snr: float) -> InfoRates:
     delta = 1.0 - 4.0 * zeta
     if snr == 0.0 or delta == 0.0:
         return InfoRates(0.0, 0.0)
-    kli, mi = _sums(_rule(delta), snr / _spectral_norm(zeta))
+    kli, mi = _sums(delta, _rule(delta), snr / _spectral_norm(zeta))
     return InfoRates(max(kli / (2.0 * math.pi), 0.0), max(mi / (2.0 * math.pi), 0.0))
 
 
-def _sums(nodes, sigma: float):
-    """Return (kli, mi): the sums over nodes (g, k, weight) of weight
-    times the KL bracket and log1p(x) at g = (A0 - B)/c, k = (A0 + B)/c."""
+def _sums(delta: float, nodes, sigma: float):
+    """Return (kli, mi): the sums over nodes (h, weight), h = sin^2(w/2),
+    of weight times the KL bracket and log1p(x) at g = (A0 - B)/c =
+    delta + (1 - delta) h and k = (A0 + B)/c = 1 + (1 - delta) h."""
     sqrt, log1p, phi = math.sqrt, math.log1p, _phi
+    spread = 1.0 - delta
     kli = mi = 0.0
-    for g, k, weight in nodes:
+    for h, weight in nodes:
+        d = spread * h
+        g = delta + d
+        k = 1.0 + d
         a = 0.5 * (g + k)
         r0 = sqrt(g * k)
         r1 = sqrt(g + sigma) * sqrt(k + sigma)
@@ -147,28 +157,35 @@ def _spectral_norm(zeta: float) -> float:
     return (2.0 / math.pi) * complete_elliptic_k(4.0 * zeta)
 
 
-def _rule(delta: float) -> list[tuple[float, float, float]]:
-    """(g, k, weight) at every node of the rule for delta in (0, 1]:
-    g = (A0 - B)/c and k = (A0 + B)/c there, and the weight in w."""
-    root = math.sqrt(delta)
+def _rule(delta: float) -> tuple[tuple[float, float], ...]:
+    """(h, weight) at every node of the rule for delta in (0, 1]: that of
+    the largest power of two <= delta, which its whole octave shares."""
+    return _table(math.frexp(delta)[1])
+
+
+@functools.cache
+def _table(exponent: int) -> tuple[tuple[float, float], ...]:
+    """(h, weight) at every node of the rule anchored at 2^(exponent - 1):
+    h = sin^2(w/2) = t^2/(1 + t^2) there, and the weight in w."""
+    anchor = math.ldexp(0.5, exponent)
+    root = math.sqrt(anchor)
     top = math.asinh(1.0 / root)
-    beta = math.exp(-top - 2.5)
-    # weight = h (dw/du)(du/dv): dw/du = 2 sqrt(delta) cosh(u) / (1 + t^2)
+    beta = math.exp(-top - 2.0)
+    # weight = _STEP (dw/du)(du/dv): dw/du = 2 sqrt(anchor) cosh(u) / (1 + t^2)
     # and du/dv = 1 + beta cosh(v)
     scale = 2.0 * _STEP * root
     end = top + 1.0
-    one_minus = 1.0 - delta
-    sinh, cosh = math.sinh, math.cosh
     rule = []
-    for v, sinh_v, cosh_v in _GRID:
-        u = v + beta * sinh_v
-        sinh_u, cosh_u = sinh(u), cosh(u)
-        t2 = delta * sinh_u * sinh_u
+    j = 0
+    while True:
+        v = j * _STEP
+        u = v + beta * math.sinh(v)
+        t2 = anchor * math.sinh(u) ** 2
         q = 1.0 + t2
-        weight = scale * (1.0 + beta * cosh_v) * cosh_u / q
-        rule.append(((delta + t2) / q, 1.0 + one_minus * t2 / q, weight))
+        weight = scale * (1.0 + beta * math.cosh(v)) * math.cosh(u) / q
+        rule.append((t2 / q, weight))
         if u > end and weight < 1e-17:
             break
-    g, k, weight = rule[0]
-    rule[0] = (g, k, 0.5 * weight)  # v = 0: the sum over v >= 0 of an even integrand
-    return rule
+        j += 1
+    rule[0] = (0.0, 0.5 * rule[0][1])  # v = 0: the sum over v >= 0 of an even integrand
+    return tuple(rule)

@@ -400,6 +400,33 @@ print(json.dumps({"validate": code, "numpy": "numpy" in sys.modules,
         assert done.returncode == 0, done.stderr
         assert done.stdout == "True\n"
 
+    # the quadrature rule's tables are built on first use, one per octave
+    # of delta = 1 - 4 zeta: importing the CLI builds none, and a paper
+    # sweep no more than the 54 octaves that delta in [2^-53, 1] spans
+    TABLES_SCRIPT = """
+import contextlib, io, json
+import sfcar.cli
+from sfcar import rates
+built = [rates._table.cache_info().currsize]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sfcar.cli.main({argv!r})
+built.append(rates._table.cache_info().currsize)
+print(json.dumps([code, *built]))
+"""
+
+    def test_rule_tables_built_lazily(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
+        argv = ["sweep", *PAPER_ARGS]
+        argv[argv.index("--E") + 1] = "200"
+        done = subprocess.run(
+            [sys.executable, "-c", self.TABLES_SCRIPT.format(argv=argv)],
+            capture_output=True, text=True, env=env, check=False, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        code, at_import, after_sweep = json.loads(done.stdout)
+        assert (code, at_import) == (0, 0)
+        assert 0 < after_sweep <= 54
+
 
 class TestClosedPipe:
     # A reader that leaves early (`sfcar sweep ... | head`) ends the output

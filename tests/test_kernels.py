@@ -91,10 +91,10 @@ class TestRowSum:
         for n in sizes:
             corrected = []
 
-            def counting(nodes, sigma):
-                if len(nodes) == 1 and nodes[0][2] == 1.0:
+            def counting(delta, nodes, sigma):
+                if len(nodes) == 1 and nodes[0][1] == 1.0:
                     corrected.append(nodes[0])
-                return original(nodes, sigma)
+                return original(delta, nodes, sigma)
 
             monkeypatch.setattr(kernels, "_sums", counting)
             torus_rates(zeta, 1.0, TorusSpec(n))

@@ -43,6 +43,12 @@ def closed_form_mi(snr: float) -> float:
     return 0.5 * math.log1p(snr)
 
 
+def nodes_gkw(delta: float) -> list[tuple[float, float, float]]:
+    # (g, k, weight) at the rule's nodes, g and k formed as `_sums` forms them
+    spread = 1.0 - delta
+    return [(delta + spread * h, 1.0 + spread * h, w) for h, w in _rule(delta)]
+
+
 class TestSpectralRatio:
     # the library's normalization (2/pi) K(4 zeta) in the spectral ratio
     def test_white_field_is_flat(self):
@@ -241,20 +247,23 @@ class TestSnrIntegral:
 
 class TestBracketSeam:
     # The KL bracket switches from log1p(x) - sigma/r1 to x - sigma/r1 less
-    # _phi(x) at x = _SEAM.  At each node (g, k) sigma is put just below and
-    # just above the seam, found in closed form: with A1 = a + sigma, r1 =
-    # sqrt((g + sigma)(k + sigma)) and v = a + r0, A1 + r1 = (1 + _SEAM) v at
-    # sigma = (c^2 - g k) / (2 (a + c)), c = (1 + _SEAM) v - a.  Both values
-    # are checked against 50-digit decimal arithmetic (worst seen 2.7e-15
-    # over 136 points).
+    # _phi(x) at x = _SEAM.  At each node h = sin^2(w/2), where `_sums`
+    # takes g = delta + (1 - delta) h and k = 1 + (1 - delta) h, sigma is
+    # put just below and just above the seam, found in closed form: with
+    # A1 = a + sigma, r1 = sqrt((g + sigma)(k + sigma)) and v = a + r0,
+    # A1 + r1 = (1 + _SEAM) v at sigma = (c^2 - g k) / (2 (a + c)),
+    # c = (1 + _SEAM) v - a.  Both values are checked against 50-digit
+    # decimal arithmetic (worst seen 2.4e-15 over 128 points).
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2, 0.2499, float(np.nextafter(0.25, 0.0))])
     def test_matches_decimal_on_both_sides(self, zeta):
-        for g, k, _ in _rule(1.0 - 4.0 * zeta)[::4]:
+        delta = 1.0 - 4.0 * zeta
+        for h, _ in _rule(delta)[::4]:
+            g, k = delta + (1.0 - delta) * h, 1.0 + (1.0 - delta) * h
             a, r0 = 0.5 * (g + k), math.sqrt(g * k)
             c = (1.0 + _SEAM) * (a + r0) - a
             seam = (c * c - g * k) / (2.0 * (a + c))
             for sigma, above in ((seam * (1.0 - 1e-9), False), (seam * (1.0 + 1e-9), True)):
-                bracket, m = _sums([(g, k, 1.0)], sigma)
+                bracket, m = _sums(delta, [(h, 1.0)], sigma)
                 with localcontext() as ctx:
                     ctx.prec = 50
                     dg, dk, ds = Decimal(g), Decimal(k), Decimal(sigma)
@@ -269,9 +278,9 @@ class TestBracketSeam:
     def test_flat_spectrum_across_the_seam(self):
         # at zeta = 0, x = s on every node, and the rates are exactly
         # 0.5 ln(1 + s) - 0.5 s / (1 + s) and 0.5 ln(1 + s); 4,000 s across
-        # the seam against 40-digit decimal (worst seen 3.4e-15 in KLI, at
-        # s = 0.277 just above the seam, where log1p(x) and sigma/r1 cancel
-        # ninefold, and 1.0e-15 in MI)
+        # the seam against 40-digit decimal (worst seen 3.1e-15 in KLI, at
+        # s = 0.291 just above the seam, where log1p(x) and sigma/r1 cancel
+        # ninefold, and 1.1e-15 in MI)
         for snr in np.logspace(-2, math.log10(30.0), 4000):
             rates = info_rates(0.0, float(snr))
             with localcontext() as ctx:
@@ -320,7 +329,10 @@ class TestHighSnrClosedForm:
 
 class TestQuadratureScheme:
     # 0, a subnormal, a grid toward 1/4, the doubles next to each zeta at
-    # which asinh(1/sqrt(delta)) = 1.5 m, and the last double below 1/4
+    # which asinh(1/sqrt(delta)) = 1.5 m, the last double below 1/4, and
+    # the zetas whose delta = 1 - 4 zeta lies, exactly, at the top of its
+    # octave, 2^(e+1) - 2^-53, or at its middle, 1.5 2^e: the deltas
+    # farthest from the power of two whose rule they share
     ZETAS = [
         z
         for z in (
@@ -332,8 +344,18 @@ class TestQuadratureScheme:
                 for side in (0.0, 1.0)
             ]
             + [float(np.nextafter(0.25, 0.0))]
+            + [
+                0.25 - 0.25 * delta
+                for e in range(-1, -53, -1)
+                for delta in (2.0 ** (e + 1) - 2.0**-53, 1.5 * 2.0**e)
+            ]
         )
         if z < 0.25
+    ]
+    # the same two places in every octave as (delta, anchor), the top one
+    # the largest double below 2^(e+1), (2 - 2^-52) 2^e
+    MISMATCHED = [
+        (m * 2.0**e, 2.0**e) for e in range(-1, -53, -1) for m in (2.0 - 2.0**-52, 1.5)
     ]
 
     @pytest.mark.parametrize("snr", [2e-7, 1e-3, 1.0, 1e2, 1e4])
@@ -345,20 +367,20 @@ class TestQuadratureScheme:
             assert rates.mi == pytest.approx(mi, rel=1e-12, abs=0.0), zeta
 
     def test_node_count(self):
-        # steps of 0.24 in v until u > asinh(1/sqrt(delta)) + 1 and a weight is
-        # below 1e-17: 33 at delta = 1 and 109 at delta = 2^-53; the last
-        # node shows that the sum stopped there and not at the end of the table
+        # steps of 0.24 in v until u > asinh(1/sqrt(a)) + 1, a the largest
+        # power of two <= delta, and a weight is below 1e-17: 31 nodes at
+        # delta = 1 and 107 at delta = 2^-53, the last of them that weight
         for zeta in self.ZETAS:
             rule = _rule(1.0 - 4.0 * zeta)
             assert len(rule) <= 112, zeta
-            assert rule[-1][2] < 1e-17, zeta
+            assert rule[-1][1] < 1e-17, zeta
         assert len(_rule(1.0)) <= 36
         assert len(_rule(1.0 - 4.0 * float(np.nextafter(0.25, 0.0)))) <= 112
 
     def test_weights_integrate_the_interval(self):
         # the weights in w add up to pi (worst seen 4.4e-16 relative)
         for zeta in self.ZETAS:
-            total = math.fsum(w for _, _, w in _rule(1.0 - 4.0 * zeta))
+            total = math.fsum(w for _, w in _rule(1.0 - 4.0 * zeta))
             assert total == pytest.approx(math.pi, rel=2e-15, abs=0.0), zeta
 
     @pytest.mark.parametrize("depth", [7, 18, 29])
@@ -369,9 +391,9 @@ class TestQuadratureScheme:
         # repeat), and the integrals over [0, pi] of g^level and k^level
         # against their closed forms pi sum_j C(n, j) b^(n-j) (1-delta)^j
         # C(2j, j)/4^j, with b = delta for g and b = 1 for k (worst seen
-        # 4.2e-16)
+        # 6.7e-16)
         delta = 2.0**-depth
-        rule = _rule(delta)
+        rule = nodes_gkw(delta)
         assert all(w > 0.0 for _, _, w in rule)
         gs = [g for g, _, _ in rule]
         assert delta <= gs[0] and gs[-1] <= 1.0
@@ -390,11 +412,24 @@ class TestQuadratureScheme:
         # int_0^pi dw / sqrt(g k) = 2 K(4 zeta), a peaked integrand of the
         # rates' kind; polynomials in g of degree 2 and up are not, as they
         # have poles at t = tan(w/2) = +-i that no rate integrand has
-        # (worst seen 3.2e-16)
+        # (worst seen 2.2e-16)
         delta = 2.0**-depth
-        total = math.fsum(w / math.sqrt(g * k) for g, k, w in _rule(delta))
+        total = math.fsum(w / math.sqrt(g * k) for g, k, w in nodes_gkw(delta))
         exact = 2.0 * ellipkm1(delta * (2.0 - delta))
         assert total == pytest.approx(exact, rel=5e-15, abs=0.0)
+
+    def test_mismatched_anchor(self):
+        # each delta takes the rule of the largest power of two <= delta;
+        # at the top and the middle of every octave the same integral is
+        # 2 K(4 zeta) and the weights add up to pi (worst seen 2.2e-16 and
+        # 4.4e-16)
+        for delta, anchor in self.MISMATCHED:
+            assert _rule(delta) is _rule(anchor)
+            rule = nodes_gkw(delta)
+            total = math.fsum(w / math.sqrt(g * k) for g, k, w in rule)
+            exact = 2.0 * ellipkm1(delta * (2.0 - delta))
+            assert total == pytest.approx(exact, rel=5e-15, abs=0.0), delta
+            assert math.fsum(w for _, _, w in rule) == pytest.approx(math.pi, rel=2e-15, abs=0.0)
 
 
 class TestStoredReference:
@@ -410,7 +445,7 @@ class TestStoredReference:
     ]
 
     def test_stated_accuracy(self):
-        # the rates docstring states 1.5e-15 (worst seen 1.49e-15)
+        # the rates docstring states 1.5e-15 (worst seen 1.33e-15)
         assert len(self.POINTS) == 3000
         for zeta, snr, kli, mi in self.POINTS:
             rates = info_rates(zeta, snr)
@@ -418,7 +453,8 @@ class TestStoredReference:
             assert rates.mi == pytest.approx(mi, rel=2e-15, abs=0.0), (zeta, snr)
 
     def test_mean_node_count(self):
-        # the rule's cost on this plane: 59.9 nodes a call on average
+        # the rule's cost on this plane: 58.6 nodes a call on average, each
+        # delta taking the rule of the power of two at the foot of its octave
         counts = [len(_rule(1.0 - 4.0 * zeta)) for zeta, _, _, _ in self.POINTS]
         assert sum(counts) / len(counts) <= 62.0
 
