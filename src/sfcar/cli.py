@@ -2,8 +2,9 @@
 
 Subcommands: rates, map, sweep, optimize, validate.  Every command takes
 --format {csv|json}, --output PATH and --config PATH (a JSON file whose
-keys match the command's option names; explicit flags override file
-values, and a key the command lacks or a value its flag would reject is
+keys match the command's option names, with numbers, strings or lists of
+them as values; explicit flags override file values, and a key the
+command lacks, a null or boolean, or a value its flag would reject is
 invalid input).  Numeric options must be finite.  Output tables are
 plot-ready: CSV with a fixed header row, or a JSON array of flat records
 with identical field names.  Floats are emitted in shortest round-trip
@@ -149,10 +150,10 @@ def _apply_config_file(
         if dest in ("command", "handler", "config") or not hasattr(args, dest):
             raise DomainError(f"--config {path}: {args.command} has no option {key!r}")
         flag = "--" + dest.replace("_", "-")
-        if isinstance(value, list):
-            tokens += [flag, *map(str, value)]
-        else:
-            tokens.append(f"{flag}={value}")
+        items = value if isinstance(value, list) else [value]
+        if not all(type(item) in (int, float, str) for item in items):
+            raise DomainError(f"--config {path}: {key!r} takes no {json.dumps(value)}")
+        tokens += [flag, *map(str, items)] if isinstance(value, list) else [f"{flag}={value}"]
     at = argv.index(args.command) + 1
     try:
         return parser.parse_args(argv[:at] + tokens + argv[at:])

@@ -38,7 +38,6 @@ from sfcar.special import bessel_k1, complete_elliptic_k, elliptic_agm  # noqa: 
 # under 5e-15 relative.  The solver cannot go lower: its slope's
 # E - k'^2 K cancels as k -> 0.
 _SERIES_CUTOFF = 1e-4
-_NEGATIVE_CLAMP = -1e-13
 # The solver's lower end in u = log(delta): the smallest normal delta.
 _LOG_DELTA_MIN = math.log(2.0**-1022)
 # Newton stops once a step is this small relative to the iterate; the
@@ -108,8 +107,6 @@ def zeta_of_rho(rho: float) -> float:
     evaluated.  zeta = -expm1(u)/4 reaches 1/4 by rounding, with no
     cut-off; rho = 1 gives 1/4, as rho_of_zeta(1/4) = 1.
     """
-    if _NEGATIVE_CLAMP <= rho < 0.0:
-        rho = 0.0
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho must lie in [0, 1], got {rho!r}")
     if rho < _SERIES_CUTOFF:

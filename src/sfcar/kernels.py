@@ -5,8 +5,9 @@ DFT grid.  Along the column axis the Chebyshev product identity
 prod_k (x - cos 2 pi k / N) = 2^(1-N) (T_N(x) - 1) sums each row in
 closed form, so only the rows are visited: O(N) work in plain Python.
 
-Work in units of c = (2/pi) K(4 zeta) and put sigma = SNR/c.  Each row
-is given as sin^2(w1/2), the node h of `rates._sums`, and has
+Work in units of c = (2/pi) K(4 zeta), which `rate_sums` derives from
+zeta, and put sigma = SNR/c.  Each row is given as sin^2(w1/2), the
+node h of `rates._sums`, in ascending order, and has
 A0 - B = g = delta + (1 - delta) h and A0 + B = k = 1 + (1 - delta) h,
 with B = 2 zeta and delta = 1 - 4 zeta; A1 = A0 + sigma, r0, x and the
 KL bracket are those of `sfcar.rates`.  With
@@ -24,34 +25,36 @@ u = p expm1(2D) and coth(h1) = 1 + 2p.  The (N/2) log1p(x) and
 over the rows and their weights, in blocks of 64 whose sums `math.fsum`
 adds, so that the rounding error does not grow with N.  The other,
 finite-N terms are exponentially small in h0, about N sqrt(delta) on
-the first row, and are added only on the rows where e^(-2 h0) > 0: none
-for any N at zeta <= 0.1.  All three KL terms are >= 0 and each is
-taken without cancellation, so KL keeps its digits as SNR -> 0: the
-bracket by `sfcar.rates`, and, within `rates._SEAM`, the other two by
-its phi(w) = w - log1p(w), as p phi(expm1(2D)) and phi(expm1(-L)) at
-L = -log1p(-u), u = -expm1(-L); `kernels` keeps no series of its own.
-The subtraction of the whole trace from MI would lose them.
+the first row.  h0 rises with the row, so the pass over them stops at
+the first row where e^(-2 h0) underflows to 0, as no later row has any:
+at zeta <= 0.1 and N >= 362 that is the first row.  All three KL terms
+are >= 0 and each is taken without cancellation, so KL keeps its
+digits as SNR -> 0: the bracket by `sfcar.rates`, and, within
+`rates._SEAM`, the other two by its phi(w) = w - log1p(w), as
+p phi(expm1(2D)) and phi(expm1(-L)) at L = -log1p(-u), u = -expm1(-L);
+`kernels` keeps no series of its own.  The subtraction of the whole
+trace from MI would lose them.
 """
 
 import math
 
-from sfcar.rates import _SEAM, _phi, _sums
+from sfcar.rates import _SEAM, _phi, _spectral_norm, _sums
 
 _BLOCK = 64
 
 
-def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
+def rate_sums(rows, weights, columns, zeta: float, snr: float):
     """Return (kli, mi): the sums over rows i of weights[i] times the
     average over the columns k = 0 .. N-1, N = len(columns), of
 
         0.5 log1p(s) - 0.5 s / (1 + s)   and   0.5 log1p(s),
 
-    with s = snr / (cnorm (1 - 2 zeta (cos w1 + cos(2 pi k / N)))) and
-    rows[i] = sin^2(w1 / 2).
+    with s = snr / (c (1 - 2 zeta (cos w1 + cos(2 pi k / N)))),
+    c = (2/pi) K(4 zeta), and rows[i] = sin^2(w1 / 2) ascending.
     """
     n = len(columns)
     half_n = 0.5 * n
-    sigma = snr / cnorm
+    sigma = snr / _spectral_norm(zeta)
     delta = 1.0 - 4.0 * zeta
     spread = 1.0 - delta
     nodes = list(zip(rows, weights))
@@ -59,29 +62,28 @@ def rate_sums(rows, weights, columns, zeta: float, snr: float, cnorm: float):
     kl_blocks, mi_blocks = zip(*blocks)
     kli = mi = 0.0
     inv_b = 0.5 / zeta if zeta else math.inf
-    exp, expm1, log1p, asinh, sqrt = math.exp, math.expm1, math.log1p, math.asinh, math.sqrt
     for row, weight in nodes:
         lift = spread * row
-        h0 = half_n * asinh(sqrt((delta + lift) * (1.0 + lift)) * inv_b)
-        e0 = exp(-2.0 * h0)
-        if e0 == 0.0:
-            continue
+        h0 = half_n * math.asinh(math.sqrt((delta + lift) * (1.0 + lift)) * inv_b)
+        e0 = math.exp(-2.0 * h0)
+        if e0 == 0.0:  # and on every later row, as h0 rises with the row
+            break
         # the finite-N terms, from h0, h1 and D = h1 - h0
         bracket, m = _sums(delta, ((row, 1.0),), sigma)
         d = half_n * m
         h1 = h0 + d
-        em0 = -expm1(-2.0 * h0)
-        em1 = -expm1(-2.0 * h1)
-        q = e0 * -expm1(-2.0 * d)  # e^(-2 h0) - e^(-2 h1)
+        em0 = -math.expm1(-2.0 * h0)
+        em1 = -math.expm1(-2.0 * h1)
+        q = e0 * -math.expm1(-2.0 * d)  # e^(-2 h0) - e^(-2 h1)
         u = q / em1
-        p = exp(-2.0 * h1) / em1
-        log_ratio = log1p(q / em0)  # -log1p(-u) = log(em1 / em0)
+        p = math.exp(-2.0 * h1) / em1
+        log_ratio = math.log1p(q / em0)  # -log1p(-u) = log(em1 / em0)
         t = d + d
         # -u from the log_ratio that MI sums; t is tested before expm1(t),
         # which overflows past t = 709.8 (expm1(0.2) = 0.221 <= _SEAM)
-        minus_u = expm1(-log_ratio)
+        minus_u = math.expm1(-log_ratio)
         u_term = _phi(minus_u) if minus_u >= -_SEAM else log_ratio - u
-        p_term = p * _phi(expm1(t)) if t <= 0.2 else u - t * p
+        p_term = p * _phi(math.expm1(t)) if t <= 0.2 else u - t * p
         mi += weight * log_ratio
         kli += weight * (n * bracket * p + u_term + p_term)
     return 0.5 * math.fsum(kl_blocks) + kli / n, 0.5 * math.fsum(mi_blocks) + mi / n

@@ -11,9 +11,10 @@ The integrands depend on a frequency only through its cosine, and
 cos(2 pi k / N) = cos(2 pi (N - k) / N), so the row axis is folded onto
 its N // 2 + 1 distinct cosines, k = 0 .. N // 2.  Each carries the share
 of the N frequencies that map to it: 1/N for k = 0 and, when N is even,
-for k = N / 2, and 2/N for every other k.  Along the column axis each row
-is summed over all N frequencies in closed form (see `sfcar.kernels`), so
-the cost is O(N) and needs no array library.
+for k = N / 2, and 2/N for every other k.  The rows go to `sfcar.kernels`
+as sin^2(pi k / N), ascending in k as its early stop needs, and it sums
+each over all N frequencies in closed form, so the cost is O(N) and
+needs no array library.  SNR = 0 takes the same sums, which give +0.
 
 Per node, the result is the N-point trapezoid rule in w1 for the
 one-dimensional integrals of `sfcar.rates`, plus the finite-N terms of
@@ -27,7 +28,7 @@ import math
 
 from sfcar import kernels
 from sfcar.errors import DomainError
-from sfcar.rates import InfoRates, _check_zeta_snr, _spectral_norm
+from sfcar.rates import InfoRates, _check_zeta_snr
 from sfcar.records import integer, record
 # Not called here; sfcarbench/spans.py wraps this module attribute by name.
 from sfcar.special import complete_elliptic_k  # noqa: F401
@@ -62,15 +63,11 @@ def torus_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
     _check_zeta_snr(zeta, snr)
     if zeta == 0.25:
         raise DomainError("torus rates are undefined at zeta = 1/4")
-    if snr == 0.0:
-        return InfoRates(0.0, 0.0)
     n = spec.n_per_axis
     rows = [math.sin(math.pi * j / n) ** 2 for j in range(n // 2 + 1)]
     weights = [2.0 / n] * len(rows)
     weights[0] = 1.0 / n
     if n % 2 == 0:
         weights[-1] = 1.0 / n
-    kli, mi = kernels.rate_sums(
-        rows, weights, range(n), zeta, snr, _spectral_norm(zeta)
-    )
+    kli, mi = kernels.rate_sums(rows, weights, range(n), zeta, snr)
     return InfoRates(max(kli, 0.0), max(mi, 0.0))

@@ -13,7 +13,8 @@ over [-pi, pi]^2, with the SNR-normalized spectral ratio
 The normalization makes the frequency average of s equal to SNR exactly,
 separating the SNR and correlation dependencies.  Rates are in nats per
 node.  At zeta = 1/4 both rates are defined to be 0 (the limiting value
-as correlation becomes perfect); at SNR = 0 they are exactly 0.
+as correlation becomes perfect).  At SNR = 0 the general sum gives +0:
+x = 0 and the KL bracket is 0 - phi(0) = 0 at every node.
 
 The inner w2 integral has closed forms (Gradshteyn & Ryzhik 2.553,
 4.224): int_0^pi log(A - B cos w) dw = pi log((A + r)/2) and
@@ -99,7 +100,7 @@ def info_rates(zeta: float, snr: float) -> InfoRates:
     """Both per-node rates in one pass of the fixed rule."""
     _check_zeta_snr(zeta, snr)
     delta = 1.0 - 4.0 * zeta
-    if snr == 0.0 or delta == 0.0:
+    if delta == 0.0:
         return InfoRates(0.0, 0.0)
     kli, mi = _sums(delta, _rule(delta), snr / _spectral_norm(zeta))
     return InfoRates(max(kli / (2.0 * math.pi), 0.0), max(mi / (2.0 * math.pi), 0.0))

@@ -537,6 +537,18 @@ class TestRejectedInput:
         err = self.rejected(capsys, ["rates", "--config", str(cfg)])
         assert "--zeta" in err and "abc" in err
 
+    @pytest.mark.parametrize("value", [None, False, [None], [True]])
+    def test_config_null_or_boolean(self, capsys, tmp_path, monkeypatch, value):
+        # no flag spells JSON null, true or false; taken as text they
+        # would name the output file "None" or "False"
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"zeta": 0.1, "snr_db": 0, "output": value}))
+        err = self.rejected(capsys, ["rates", "--config", str(cfg)])
+        assert err.startswith(f"error: --config {cfg}: ") and "'output'" in err
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["c.json"]
+
     def test_unknown_config_key(self, capsys, tmp_path):
         # "snr" is no option, though the parser would take it for an
         # abbreviation of --snr-db on the command line

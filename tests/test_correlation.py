@@ -123,10 +123,7 @@ class TestZetaOfRho:
         z = zeta_of_rho(0.3)
         assert rho_of_zeta(z) == pytest.approx(0.3, abs=1e-12)
 
-    def test_tiny_negative_clamped(self):
-        assert zeta_of_rho(-1e-14) == 0.0
-
-    @pytest.mark.parametrize("bad", [-1e-12, 1.0000001, 2.0])
+    @pytest.mark.parametrize("bad", [-1e-12, -1e-14, 1.0000001, 2.0])
     def test_domain_error(self, bad):
         with pytest.raises(DomainError):
             zeta_of_rho(bad)

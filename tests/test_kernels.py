@@ -1,5 +1,6 @@
 import json
 import math
+import types
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -100,6 +101,25 @@ class TestRowSum:
             torus_rates(zeta, 1.0, TorusSpec(n))
             assert len(corrected) <= most, (n, len(corrected))
 
+    @pytest.mark.parametrize(
+        "zeta,n,most", [(0.1, 4096, 1), (0.25 - 1e-12, 65536, 120)]
+    )
+    def test_pass_stops_at_first_row_without_terms(self, monkeypatch, zeta, n, most):
+        # the rows ascend and h0 rises with them, so the finite-N pass
+        # stops at the first row whose e^(-2 h0) underflows: one asinh a
+        # row it examines (1 and 120 here; every one of the N/2 + 1 rows,
+        # 2,049 and 32,769, if it went on to the end)
+        calls = []
+
+        def asinh(x):
+            calls.append(x)
+            return math.asinh(x)
+
+        names = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+        monkeypatch.setattr(kernels, "math", types.SimpleNamespace(**{**names, "asinh": asinh}))
+        torus_rates(zeta, 1.0, TorusSpec(n))
+        assert 0 < len(calls) <= most
+
 
 class TestStoredReference:
     # the 54 torus values of the benchmark's reference file: 18 points,
@@ -129,18 +149,18 @@ class TestDispatch:
     def test_dispatch_callable(self):
         # the column axis is passed as range(N), whose length gives N
         rows, weights = folded_rows(16)
-        kli, mi = kernels.rate_sums(rows, weights, range(16), 0.1, 1.0, 1.05)
+        kli, mi = kernels.rate_sums(rows, weights, range(16), 0.1, 1.0)
         assert 0.0 < kli < mi
 
     def test_deterministic(self):
         rows, weights = folded_rows(64)
-        a = kernels.rate_sums(rows, weights, range(64), 0.22, 5.0, 1.4)
-        b = kernels.rate_sums(rows, weights, range(64), 0.22, 5.0, 1.4)
+        a = kernels.rate_sums(rows, weights, range(64), 0.22, 5.0)
+        b = kernels.rate_sums(rows, weights, range(64), 0.22, 5.0)
         assert a == b
 
     def test_zero_snr_sums(self):
         rows, weights = folded_rows(8)
-        assert kernels.rate_sums(rows, weights, range(8), 0.2, 0.0, 1.3) == (0.0, 0.0)
+        assert kernels.rate_sums(rows, weights, range(8), 0.2, 0.0) == (0.0, 0.0)
 
     def test_called_through_module_attribute(self, monkeypatch):
         # torus_rates looks kernels.rate_sums up at call time, so a wrapper

@@ -27,9 +27,14 @@ class TestTorusRates:
                 assert rates.kli == pytest.approx(kli, rel=1e-9)
 
     def test_zero_snr(self):
-        for zeta in (0.0, 0.1, 0.25 - 1e-12):
-            rates = torus_rates(zeta, 0.0, TorusSpec(16))
-            assert (rates.kli, rates.mi) == (0.0, 0.0)
+        # the general sums give +0 in every term, on the small tori and
+        # near 1/4 too, where the finite-N terms are nonzero at SNR > 0;
+        # the CLI prints repr, so -0.0 would show
+        for zeta in (0.0, 1e-300, 0.1, 0.2499, 0.25 - 1e-12, math.nextafter(0.25, 0.0)):
+            for n in (2, 3, 4, 16, 512):
+                rates = torus_rates(zeta, 0.0, TorusSpec(n))
+                assert (rates.kli, rates.mi) == (0.0, 0.0)
+                assert math.copysign(1.0, rates.kli) == math.copysign(1.0, rates.mi) == 1.0
 
     def test_gap_shrinks_with_n(self):
         quad = info_rates(0.2, 10.0)

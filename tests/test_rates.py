@@ -92,8 +92,12 @@ class TestClosedForms:
         assert info_rates(0.0, 1.0).mi == pytest.approx(0.3465735903, abs=1e-9)
 
     def test_zero_snr_everywhere(self):
-        for zeta in (0.0, 0.1, 0.24, 0.25):
-            assert info_rates(zeta, 0.0) == InfoRates(0.0, 0.0)
+        # the general sum, not a branch, gives +0 (as -0.0 the CLI would
+        # print "-0.0"); 1/4 itself is the convention
+        for zeta in (0.0, 1e-300, 0.1, 0.24, 0.2499, math.nextafter(0.25, 0.0), 0.25):
+            rates = info_rates(zeta, 0.0)
+            assert rates == InfoRates(0.0, 0.0)
+            assert math.copysign(1.0, rates.kli) == math.copysign(1.0, rates.mi) == 1.0
 
     def test_perfect_correlation_convention(self):
         assert info_rates(0.25, 10.0) == InfoRates(0.0, 0.0)
@@ -144,8 +148,8 @@ class TestAgainstTorus:
         assert quad.mi == pytest.approx(torus.mi, abs=1e-3)
 
     def test_extreme_zeta_still_converges(self):
-        # one double below the endpoint: the graded panels must resolve a
-        # spectral peak of width ~3e-9 without refinement blowup
+        # one double below the endpoint: the rule's anchor at delta = 2^-53
+        # must resolve a spectral peak of width ~3e-9 (in 107 nodes)
         zeta = float(np.nextafter(0.25, 0.0))
         rates = info_rates(zeta, 1e-4)
         assert 0.0 < rates.kli < rates.mi < 1e-3
@@ -386,12 +390,12 @@ class TestQuadratureScheme:
     @pytest.mark.parametrize("depth", [7, 18, 29])
     @pytest.mark.parametrize("level", [0, 1])
     def test_panel_rule(self, depth, level):
-        # at delta = 2^-depth: positive weights, g non-decreasing with w
-        # within [delta, 1] (tail nodes near w = pi round to g = 1 and
-        # repeat), and the integrals over [0, pi] of g^level and k^level
-        # against their closed forms pi sum_j C(n, j) b^(n-j) (1-delta)^j
-        # C(2j, j)/4^j, with b = delta for g and b = 1 for k (worst seen
-        # 6.7e-16)
+        # the trapezoid rule's polynomial moments at delta = 2^-depth:
+        # positive weights, g non-decreasing with w within [delta, 1]
+        # (tail nodes near w = pi round to g = 1 and repeat), and the
+        # integrals over [0, pi] of g^level and k^level against their
+        # closed forms pi sum_j C(n, j) b^(n-j) (1-delta)^j C(2j, j)/4^j,
+        # with b = delta for g and b = 1 for k (worst seen 6.7e-16)
         delta = 2.0**-depth
         rule = nodes_gkw(delta)
         assert all(w > 0.0 for _, _, w in rule)
