@@ -29,6 +29,10 @@ c = (2/pi) K(4 zeta), so with N = (2n+1)^2 nodes sharing what the total
 communication energy C(n) leaves, total KLI ~ beta^2 (E - C(n))^2 G / (4N).
 As zeta -> 1/4, G grows like pi / (delta ln^2(8/delta)), delta = 1 - 4 zeta:
 at low SNR, correlation raises the information per unit of sensing energy.
+The law needs the spectral peak's ratio s_max = SNR / (c delta) << 1, not
+only SNR << 1: at the second KLI maxima above, SNR is 3.7e-4 to 1.5e-3,
+but s_max is 6.7, 13.6 and 16.7, and the law overstates their totals 4.8,
+8.4 and 10.1 times.
 """
 
 from operator import attrgetter

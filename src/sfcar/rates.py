@@ -42,32 +42,40 @@ seam the two terms cancel at most tenfold: at zeta = 0 KLI is within
 3.1e-15 of 0.5 log1p(s) - 0.5 s/(1 + s) for s in [0.01, 30], MI 1.1e-15.
 `_sums` adds up this integrand over nodes (h, weight) in one loop.
 
-Quadrature: one trapezoid sum in a doubly mapped variable.  With
-t = tan(w/2), h = t^2/(1 + t^2) and g = (delta + t^2)/(1 + t^2), so the
-integrand peaks at w = 0 with width sqrt(delta).  The substitution
-t = sqrt(a) sinh(u), with the anchor a the largest power of two <= delta,
-makes dw = 2 sqrt(a) cosh(u) du / (1 + t^2) and takes the peak out: the
-integrand's singularities, t = +-i sqrt(delta) and t = +-i, sit at
-u = +-acosh(sqrt(delta/a)) + i pi/2 and u = +-acosh(1/sqrt(a)) + i pi/2,
-so for every delta in [a, 2a) it is analytic in the strip |Im u| < pi/2,
-where the trapezoid rule converges geometrically (Trefethen & Weideman,
-SIAM Review 56, 2014).  A second map u = v + beta sinh(v),
-beta = e^-(U + 2) with U = asinh(1/sqrt(a)), leaves u ~ v up to U,
-where w = pi/2, and makes the weights beyond fall double-exponentially.
-The integrand is even in v, so the rule is the sum over v = 0.24 j,
-j >= 0, with half weight at v = 0; it stops at the first node where
-u > U + 1 and the weight is below 1e-17.  That is 31 nodes at zeta = 0
-and 107 at the last double below 1/4 (delta = 2^-53).  The nodes
-depend on delta only through its anchor, so `_table` builds them once
-per octave, on first use: at most 54 tables, as delta lies in
+Quadrature: one periodic trapezoid sum under a conformal map (Hale &
+Trefethen, SIAM J. Numer. Anal. 46, 2008).  With t = tan(w/2),
+h = t^2/(1 + t^2) and g = (delta + t^2)/(1 + t^2), so the integrand peaks
+at w = 0 with width sqrt(delta).  The map sin(w/2) = k' sd(u | m), with
+k'^2 = a the anchor, the largest power of two <= min(delta, 1/2), and
+m = 1 - a, takes u in [0, K(m)] onto w in [0, pi]: t = k' sc(u),
+h = a sn^2/dn^2 and dw/du = 2 k'/dn.  For u << K it is t ~ sqrt(a) sinh u,
+which takes the peak out, and at u = K it closes w = pi; the integrand
+is even about both ends, so in u it is periodic with period 2K.  Every
+singularity of the integrand in t has t^2 in {-delta, -1/(2 - delta),
+-(delta + sigma)/(1 + sigma), -(1 + sigma)/(2 - delta + sigma)}, so |t|
+lies in [sqrt(a), 1]; t = k' sc(u) takes those values on Im u = K'(m)
+(t = i k'/dn(x) at u = x + i K'), and t = +-i, where h has its poles, is
+not one, as the integrand is analytic in 1/h there.  So for every delta
+of the octave it is analytic in the strip |Im u| < K' >= pi/2, where the
+trapezoid rule converges geometrically (Trefethen & Weideman, SIAM
+Review 56, 2014).  The rule is the sum over u = j K/N, N = ceil(K/0.24),
+j = 0..N, with half weights at both ends: 9 nodes for delta in [1/2, 1]
+and 84 at the last double below 1/4 (delta = 2^-53).  The map
+t = sqrt(a) sinh(u) alone reaches w = pi only as u -> oo, and a rule in
+it needs about 27 more nodes, a double-exponential tail over
+w in (pi/2, pi] where the integrand is smooth.  The nodes depend on
+delta only through its anchor, so `_table` builds them once per octave,
+on first use: at most 53 tables, 2,451 nodes in all, as delta lies in
 [2^-53, 1] for every double zeta < 1/4.  Against the 3,000 stored
-mpmath rates of the benchmark's rate plane (zeta up to 1/4 - 1e-12,
-SNR 1e-6 to 1e4) the worst relative error is below 1.5e-15 (1.33e-15),
-with 58.6 nodes a call on average; against adaptive SciPy quadrature of
-the same integrals it is below 1.8e-15 (1.55e-15) from zeta = 0 to the
-last double below 1/4 and SNR from 2e-7 to 1e4, the tops of the
-octaves, where delta is farthest from its anchor, included.  A step of
-0.26 would save 7% of the nodes and double the worst error (2.9e-15).
+mpmath rates of the benchmark's rate plane (zeta up to 1/4 - 1e-12, SNR
+1e-6 to 1e4) the worst relative error is below 1.5e-15 (1.35e-15 in
+KLI, 8.1e-16 in MI), with 35.3 nodes a call on average; against
+adaptive SciPy quadrature of the same integrals it is below 2.2e-15
+(2.1e-15) from zeta = 0 to the last double below 1/4 and SNR from 2e-7
+to 1e4, the tops of the octaves, where delta is farthest from its
+anchor, included; at the worst of those points SciPy is 8e-16 and the
+rule 1.3e-15 from 40-digit mpmath.  A step of 0.25 would save 3.7% of
+the nodes at a worst stored error of 1.40e-15, and 0.26 7.5% at 1.99e-15.
 """
 
 import functools
@@ -75,7 +83,7 @@ import math
 
 from sfcar.errors import DomainError
 from sfcar.records import record
-from sfcar.special import complete_elliptic_k
+from sfcar.special import complete_elliptic_k, elliptic_agm
 
 _STEP = 0.24
 _SEAM = 0.25  # up to this |w| both callers take w - log1p(w) from `_phi`
@@ -160,33 +168,58 @@ def _spectral_norm(zeta: float) -> float:
 
 def _rule(delta: float) -> tuple[tuple[float, float], ...]:
     """(h, weight) at every node of the rule for delta in (0, 1]: that of
-    the largest power of two <= delta, which its whole octave shares."""
-    return _table(math.frexp(delta)[1])
+    the largest power of two <= delta, which its whole octave shares;
+    delta >= 1/2, delta = 1 included, shares the table of 1/2."""
+    return _table(min(math.frexp(delta)[1], 0))
 
 
 @functools.cache
 def _table(exponent: int) -> tuple[tuple[float, float], ...]:
-    """(h, weight) at every node of the rule anchored at 2^(exponent - 1):
-    h = sin^2(w/2) = t^2/(1 + t^2) there, and the weight in w."""
+    """(h, weight) at every node of the rule anchored at a = 2^(exponent - 1),
+    with k'^2 = a and m = k^2 = 1 - a: h = sin^2(w/2) and the weight
+    (K/N) dw/du at u = j K/N, j = 0..N, halved at both ends.  Up to K/2,
+    h = a sn^2/dn^2 and the weight is 2 k' (K/N)/dn; past it, with
+    s = K - u, h = cn^2(s) and the weight is 2 (K/N) dn(s), so that h and
+    dn keep full precision.  sn, cn and dn at x = P u (or P s),
+    P = pi/(2 K'), are the image sums of Jacobi's imaginary
+    transformation: dn = P sum_j sech(x - j L), and k cn and k sn the same
+    sums of (-1)^j sech and (-1)^j tanh, the images at +-j L paired; 2
+    pairs at a = 2^-53, 13 at a = 1/2.  K' comes from the AGM, and the
+    period L = 2 P K = -log q' from Jacobi's series for the complementary
+    nome, q' = eps + 2 eps^5 + 15 eps^9 + 150 eps^13 with
+    eps = (1 - sqrt k)/(2 (1 + sqrt k)) = a/(2 (1 + k)(1 + sqrt k)^2).
+    The AGM's K is up to 2.7 ulps off (at a = 2^-39), which moves the
+    middle nodes enough to put h 5.7e-15 from 30-digit tables; from the
+    nome h is within 2.9e-15 of them and the weights within 1.7e-15."""
     anchor = math.ldexp(0.5, exponent)
-    root = math.sqrt(anchor)
-    top = math.asinh(1.0 / root)
-    beta = math.exp(-top - 2.0)
-    # weight = _STEP (dw/du)(du/dv): dw/du = 2 sqrt(anchor) cosh(u) / (1 + t^2)
-    # and du/dv = 1 + beta cosh(v)
-    scale = 2.0 * _STEP * root
-    end = top + 1.0
-    rule = []
-    j = 0
-    while True:
-        v = j * _STEP
-        u = v + beta * math.sinh(v)
-        t2 = anchor * math.sinh(u) ** 2
-        q = 1.0 + t2
-        weight = scale * (1.0 + beta * math.cosh(v)) * math.cosh(u) / q
-        rule.append((t2 / q, weight))
-        if u > end and weight < 1e-17:
-            break
-        j += 1
-    rule[0] = (0.0, 0.5 * rule[0][1])  # v = 0: the sum over v >= 0 of an even integrand
+    kc, k = math.sqrt(anchor), math.sqrt(1.0 - anchor)
+    p = math.pi / (2.0 * elliptic_agm(kc, k)[0])
+    root = math.sqrt(k)
+    eps = anchor / (2.0 * (1.0 + k) * (1.0 + root) ** 2)
+    e4 = eps**4
+    period = -math.log(eps * (1.0 + e4 * (2.0 + e4 * (15.0 + e4 * 150.0))))
+    n = math.ceil(period / (2.0 * p * _STEP))
+    step = period / (2.0 * p * n)  # K/N
+    rule = [(0.0, kc * step)]
+    for j in range(1, n):
+        x = (min(j, n - j) * period) / (2 * n)
+        # dn, k cn and k sn over P: the image at 0, then the pairs at +-shift
+        dn = kcn = 1.0 / math.cosh(x)
+        ksn = math.tanh(x)
+        odd = math.sinh(2.0 * x)  # tanh(y + x) - tanh(y - x), times cosh(y + x) cosh(y - x)
+        sign, shift = -1.0, period
+        while True:
+            plus, minus = math.cosh(shift + x), math.cosh(shift - x)
+            pair = (plus + minus) / (plus * minus)
+            dn += pair
+            kcn += sign * pair
+            ksn += sign * odd / (plus * minus)
+            if pair < 1e-17 * dn:
+                break
+            sign, shift = -sign, shift + period
+        if 2 * j <= n:
+            rule.append((anchor * (ksn / dn) ** 2 / (1.0 - anchor), 2.0 * kc * step / (p * dn)))
+        else:
+            rule.append(((p * kcn) ** 2 / (1.0 - anchor), 2.0 * step * p * dn))
+    rule.append((1.0, step))  # u = K, w = pi
     return tuple(rule)

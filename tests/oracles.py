@@ -3,7 +3,8 @@
 Each oracle evaluates a defining integral, root or brute-force sum with
 SciPy's special functions, adaptive quadrature and root finding, with
 40-digit decimal arithmetic or with plain enumeration; `spectral_ratio`,
-the tensor-grid sum and the dense torus covariance are written in NumPy.
+the tensor-grid sum and the dense torus covariance are written in NumPy,
+and `jacobi_rule` takes Jacobi's elliptic functions from 30-digit mpmath.
 Nothing here imports sfcar: the oracles share no code path with the
 library implementations they check.
 """
@@ -13,6 +14,7 @@ import sys
 from decimal import Decimal, localcontext
 from itertools import accumulate
 
+import mpmath
 import numpy as np
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq
@@ -123,6 +125,26 @@ def _cnorm_minus_one(zeta: float) -> float:
     if zeta < 0.125:
         return _k_series(16.0 * zeta * zeta)
     return (2.0 / math.pi) * ellipkm1((1.0 - 4.0 * zeta) * (1.0 + 4.0 * zeta)) - 1.0
+
+
+def jacobi_rule(anchor: float, n: int) -> list[tuple[float, float]]:
+    """(h, weight) of the periodic trapezoid rule under the map
+    sin(w/2) = k' sd(u | m), k'^2 = anchor, m = 1 - anchor, at
+    u = j K(m)/n for j = 0..n: h = sin^2(w/2) = anchor sn^2 / dn^2 and
+    the weight (K/n) dw/du = 2 k' (K/n) / dn, halved at both ends; by
+    mpmath's ellipfun at 30 digits."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(anchor)
+        m = 1 - a
+        step = mpmath.ellipk(m) / n
+        rule = []
+        for j in range(n + 1):
+            # sn(0) = 0; mpmath returns rounding noise there
+            sn = mpmath.ellipfun("sn", j * step, m=m) if j else mpmath.mpf(0)
+            dn = mpmath.ellipfun("dn", j * step, m=m)
+            weight = 2 * mpmath.sqrt(a) * step / dn
+            rule.append((float(a * (sn / dn) ** 2), float(weight / 2 if j in (0, n) else weight)))
+    return rule
 
 
 def rho_of_zeta_elliptic(zeta: float) -> float:

@@ -25,6 +25,7 @@ from oracles import (
     _cnorm_minus_one,
     _log1p_minus_x,
     ellipk_integral,
+    jacobi_rule,
     kli_rate_1d,
     low_snr_kli,
     mean_log_d,
@@ -149,7 +150,7 @@ class TestAgainstTorus:
 
     def test_extreme_zeta_still_converges(self):
         # one double below the endpoint: the rule's anchor at delta = 2^-53
-        # must resolve a spectral peak of width ~3e-9 (in 107 nodes)
+        # must resolve a spectral peak of width ~3e-9 (in 84 nodes)
         zeta = float(np.nextafter(0.25, 0.0))
         rates = info_rates(zeta, 1e-4)
         assert 0.0 < rates.kli < rates.mi < 1e-3
@@ -371,18 +372,42 @@ class TestQuadratureScheme:
             assert rates.mi == pytest.approx(mi, rel=1e-12, abs=0.0), zeta
 
     def test_node_count(self):
-        # steps of 0.24 in v until u > asinh(1/sqrt(a)) + 1, a the largest
-        # power of two <= delta, and a weight is below 1e-17: 31 nodes at
-        # delta = 1 and 107 at delta = 2^-53, the last of them that weight
+        # u = j K/N, N = ceil(K/0.24), from w = 0 (h = 0) to w = pi (h = 1),
+        # both ends halved: there the full weight (K/N) dw/du is 2 k' K/N and
+        # 2 K/N, with k'^2 = a the anchor, the largest power of two
+        # <= min(delta, 1/2), so that K' stays finite; 9 nodes for delta in
+        # [1/2, 1], all from the table of 1/2, and 84 at delta = 2^-53
         for zeta in self.ZETAS:
-            rule = _rule(1.0 - 4.0 * zeta)
-            assert len(rule) <= 112, zeta
-            assert rule[-1][1] < 1e-17, zeta
-        assert len(_rule(1.0)) <= 36
-        assert len(_rule(1.0 - 4.0 * float(np.nextafter(0.25, 0.0)))) <= 112
+            delta = 1.0 - 4.0 * zeta
+            rule = _rule(delta)
+            anchor = min(2.0 ** (math.frexp(delta)[1] - 1), 0.5)
+            n = len(rule) - 1
+            assert n == math.ceil(ellipkm1(anchor) / 0.24), zeta
+            assert (rule[0][0], rule[-1][0]) == (0.0, 1.0), zeta
+            assert rule[-1][1] == pytest.approx(ellipkm1(anchor) / n, rel=1e-15, abs=0.0), zeta
+            assert rule[0][1] == pytest.approx(math.sqrt(anchor) * rule[-1][1], rel=1e-15, abs=0.0)
+        for delta in (1.0, float(np.nextafter(1.0, 0.0)), 0.75, 0.5):
+            assert _rule(delta) is _rule(0.5) and len(_rule(delta)) == 9, delta
+        assert len(_rule(1.0 - 4.0 * float(np.nextafter(0.25, 0.0)))) == 84
+
+    def test_tables_match_mpmath(self):
+        # every node of the 53 tables against 30-digit Jacobi elliptic
+        # functions (worst seen 2.9e-15 in h and 1.7e-15 in the weight)
+        for exponent in range(0, -53, -1):
+            anchor = 2.0 ** (exponent - 1)
+            rule = _rule(anchor)
+            for (h, weight), (exact_h, exact_weight) in zip(rule, jacobi_rule(anchor, len(rule) - 1)):
+                assert h == pytest.approx(exact_h, rel=4e-15, abs=0.0), (exponent, h)
+                assert weight == pytest.approx(exact_weight, rel=4e-15, abs=0.0), (exponent, h)
+
+    def test_total_table_size(self):
+        # the 53 tables, one per octave of delta in [2^-53, 1]: 2,451 nodes
+        tables = {id(rule): rule for rule in (_rule(2.0**-i) for i in range(54))}
+        assert len(tables) == 53
+        assert sum(len(rule) for rule in tables.values()) <= 2460
 
     def test_weights_integrate_the_interval(self):
-        # the weights in w add up to pi (worst seen 4.4e-16 relative)
+        # the weights in w add up to pi (worst seen 2.8e-16 relative)
         for zeta in self.ZETAS:
             total = math.fsum(w for _, w in _rule(1.0 - 4.0 * zeta))
             assert total == pytest.approx(math.pi, rel=2e-15, abs=0.0), zeta
@@ -391,17 +416,19 @@ class TestQuadratureScheme:
     @pytest.mark.parametrize("level", [0, 1])
     def test_panel_rule(self, depth, level):
         # the trapezoid rule's polynomial moments at delta = 2^-depth:
-        # positive weights, g non-decreasing with w within [delta, 1]
-        # (tail nodes near w = pi round to g = 1 and repeat), and the
-        # integrals over [0, pi] of g^level and k^level against their
-        # closed forms pi sum_j C(n, j) b^(n-j) (1-delta)^j C(2j, j)/4^j,
-        # with b = delta for g and b = 1 for k (worst seen 6.7e-16)
+        # positive weights, g rising with w from delta at w = 0 to 1 at
+        # w = pi, and the integrals over [0, pi] of g^level and k^level
+        # against their closed forms
+        # pi sum_j C(n, j) b^(n-j) (1-delta)^j C(2j, j)/4^j, with b = delta
+        # for g and b = 1 for k (worst seen 3.1e-15: at level 1 the poles
+        # of h at t = +-i lie on the edge of the rule's strip, and the rule
+        # itself, in 30-digit arithmetic, is 2.9e-15 off)
         delta = 2.0**-depth
         rule = nodes_gkw(delta)
         assert all(w > 0.0 for _, _, w in rule)
         gs = [g for g, _, _ in rule]
-        assert delta <= gs[0] and gs[-1] <= 1.0
-        assert all(b >= a for a, b in zip(gs, gs[1:]))
+        assert (gs[0], gs[-1]) == (delta, 1.0)
+        assert all(b > a for a, b in zip(gs, gs[1:]))
         for base, position in ((delta, 0), (1.0, 1)):
             exact = math.pi * math.fsum(
                 math.comb(level, j) * base ** (level - j) * (1.0 - delta) ** j
@@ -414,9 +441,9 @@ class TestQuadratureScheme:
     @pytest.mark.parametrize("depth", [0, 7, 18, 29, 53])
     def test_elliptic_integral(self, depth):
         # int_0^pi dw / sqrt(g k) = 2 K(4 zeta), a peaked integrand of the
-        # rates' kind; polynomials in g of degree 2 and up are not, as they
+        # rates' kind; polynomials in g of degree 1 and up are not, as they
         # have poles at t = tan(w/2) = +-i that no rate integrand has
-        # (worst seen 2.2e-16)
+        # (worst seen 3.2e-16)
         delta = 2.0**-depth
         total = math.fsum(w / math.sqrt(g * k) for g, k, w in nodes_gkw(delta))
         exact = 2.0 * ellipkm1(delta * (2.0 - delta))
@@ -425,8 +452,8 @@ class TestQuadratureScheme:
     def test_mismatched_anchor(self):
         # each delta takes the rule of the largest power of two <= delta;
         # at the top and the middle of every octave the same integral is
-        # 2 K(4 zeta) and the weights add up to pi (worst seen 2.2e-16 and
-        # 4.4e-16)
+        # 2 K(4 zeta) and the weights add up to pi (worst seen 4.2e-16 and
+        # 2.8e-16)
         for delta, anchor in self.MISMATCHED:
             assert _rule(delta) is _rule(anchor)
             rule = nodes_gkw(delta)
@@ -449,7 +476,7 @@ class TestStoredReference:
     ]
 
     def test_stated_accuracy(self):
-        # the rates docstring states 1.5e-15 (worst seen 1.33e-15)
+        # the rates docstring states 1.5e-15 (worst seen 1.35e-15)
         assert len(self.POINTS) == 3000
         for zeta, snr, kli, mi in self.POINTS:
             rates = info_rates(zeta, snr)
@@ -457,10 +484,10 @@ class TestStoredReference:
             assert rates.mi == pytest.approx(mi, rel=2e-15, abs=0.0), (zeta, snr)
 
     def test_mean_node_count(self):
-        # the rule's cost on this plane: 58.6 nodes a call on average, each
+        # the rule's cost on this plane: 35.3 nodes a call on average, each
         # delta taking the rule of the power of two at the foot of its octave
         counts = [len(_rule(1.0 - 4.0 * zeta)) for zeta, _, _, _ in self.POINTS]
-        assert sum(counts) / len(counts) <= 62.0
+        assert sum(counts) / len(counts) <= 36.0
 
 
 class TestValidation:
