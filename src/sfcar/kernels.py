@@ -29,16 +29,17 @@ the first row.  h0 rises with the row, so the pass over them stops at
 the first row where e^(-2 h0) underflows to 0, as no later row has any:
 at zeta <= 0.1 and N >= 362 that is the first row.  All three KL terms
 are >= 0 and each is taken without cancellation, so KL keeps its
-digits as SNR -> 0: the bracket by `sfcar.rates`, and, within
-`rates._SEAM`, the other two by its phi(w) = w - log1p(w), as
-p phi(expm1(2D)) and phi(expm1(-L)) at L = -log1p(-u), u = -expm1(-L);
-`kernels` keeps no series of its own.  The subtraction of the whole
+digits as SNR -> 0: the bracket by `sfcar.rates`, the other two by the
+same split in the log variable each row holds, L = -log1p(-u) and t = 2D:
+within `rates._SEAM`, L - u = 2 sinh^2(L/2) - (sinh L - L) and
+expm1(t) - t = 2 sinh^2(t/2) + (sinh t - t), by `rates._sinh_excess`;
+above it they cancel at most 5.7-fold.  The subtraction of the whole
 trace from MI would lose them.
 """
 
 import math
 
-from sfcar.rates import _SEAM, _phi, _spectral_norm, _sums
+from sfcar.rates import _SEAM, _sinh_excess, _spectral_norm, _sums
 
 _BLOCK = 64
 
@@ -77,13 +78,10 @@ def rate_sums(rows, weights, columns, zeta: float, snr: float):
         q = e0 * -math.expm1(-2.0 * d)  # e^(-2 h0) - e^(-2 h1)
         u = q / em1
         p = math.exp(-2.0 * h1) / em1
-        log_ratio = math.log1p(q / em0)  # -log1p(-u) = log(em1 / em0)
+        ell = math.log1p(q / em0)  # L = -log1p(-u) = log(em1 / em0)
         t = d + d
-        # -u from the log_ratio that MI sums; t is tested before expm1(t),
-        # which overflows past t = 709.8 (expm1(0.2) = 0.221 <= _SEAM)
-        minus_u = math.expm1(-log_ratio)
-        u_term = _phi(minus_u) if minus_u >= -_SEAM else log_ratio - u
-        p_term = p * _phi(math.expm1(t)) if t <= 0.2 else u - t * p
-        mi += weight * log_ratio
+        u_term = 2.0 * math.sinh(0.5 * ell) ** 2 - _sinh_excess(ell) if ell <= _SEAM else ell - u
+        p_term = p * (2.0 * math.sinh(0.5 * t) ** 2 + _sinh_excess(t)) if t <= _SEAM else u - t * p
+        mi += weight * ell
         kli += weight * (n * bracket * p + u_term + p_term)
     return 0.5 * math.fsum(kl_blocks) + kli / n, 0.5 * math.fsum(mi_blocks) + mi / n

@@ -14,7 +14,7 @@ The normalization makes the frequency average of s equal to SNR exactly,
 separating the SNR and correlation dependencies.  Rates are in nats per
 node.  At zeta = 1/4 both rates are defined to be 0 (the limiting value
 as correlation becomes perfect).  At SNR = 0 the general sum gives +0:
-x = 0 and the KL bracket is 0 - phi(0) = 0 at every node.
+x = m = 0 and both terms of the KL bracket below are 0 at every node.
 
 The inner w2 integral has closed forms (Gradshteyn & Ryzhik 2.553,
 4.224): int_0^pi log(A - B cos w) dw = pi log((A + r)/2) and
@@ -33,14 +33,19 @@ and k = 1 + (1 - delta) h, so r0 = sqrt(g k) stays accurate as
 zeta -> 1/4, and r1 = sqrt(g + sigma) sqrt(k + sigma), its factors
 rooted apart so that no product overflows for any finite SNR.  Then
 x = (sigma/v)(1 + (A0 + A1)/(r0 + r1)) with v = A0 + r0, and the KL
-bracket is log1p(x) - sigma/r1.  It is O(SNR^2) at low SNR; where
-x <= _SEAM = 0.25 it is the cancellation-free
-x - sigma/r1 = sigma^2 ((A0 + A1)(1 + A1/(r0 + r1)) + r0) / (v r1 (r0 + r1))
-less phi(x) = x - log1p(x), which `_phi`, the one series for phi (the
-torus's finite-N terms call it too), sums in y = x/(2 + x).  Above the
-seam the two terms cancel at most tenfold: at zeta = 0 KLI is within
-3.1e-15 of 0.5 log1p(s) - 0.5 s/(1 + s) for s in [0.01, 30], MI 1.1e-15.
-`_sums` adds up this integrand over nodes (h, weight) in one loop.
+bracket m - sigma/r1, m = log1p(x), is O(SNR^2) while its terms are
+O(SNR).  With A = B cosh(theta) and r = B sinh(theta), m = theta1 - theta0
+and sigma/r1 = (cosh theta1 - cosh theta0)/sinh theta1; cosh theta0
+expanded about theta1 gives
+
+    m - sigma/r1 = coth(theta1) (cosh m - 1) - (sinh m - m),
+
+coth(theta1) = A1/r1 (1 at zeta = 0) and cosh m - 1 = x^2/(2 (1 + x)).
+Both terms are >= 0, the second at most m/3 of the first, so `_sums`
+takes the bracket from them where m <= _SEAM = 0.4 (x <= 0.49), with
+sinh m - m from `_sinh_excess`, the one series of the package.  Above
+the seam the terms cancel at most 5.7-fold, m/(m + e^-m - 1): at zeta = 0
+KLI is within 1.5e-15 of 0.5 log1p(s) - 0.5 s/(1 + s), s in [0.01, 30].
 
 Quadrature: one periodic trapezoid sum under a conformal map (Hale &
 Trefethen, SIAM J. Numer. Anal. 46, 2008).  With t = tan(w/2),
@@ -69,13 +74,12 @@ on first use: at most 53 tables, 2,451 nodes in all, as delta lies in
 [2^-53, 1] for every double zeta < 1/4.  Against the 3,000 stored
 mpmath rates of the benchmark's rate plane (zeta up to 1/4 - 1e-12, SNR
 1e-6 to 1e4) the worst relative error is below 1.5e-15 (1.35e-15 in
-KLI, 8.1e-16 in MI), with 35.3 nodes a call on average; against
-adaptive SciPy quadrature of the same integrals it is below 2.2e-15
-(2.1e-15) from zeta = 0 to the last double below 1/4 and SNR from 2e-7
-to 1e4, the tops of the octaves, where delta is farthest from its
-anchor, included; at the worst of those points SciPy is 8e-16 and the
-rule 1.3e-15 from 40-digit mpmath.  A step of 0.25 would save 3.7% of
-the nodes at a worst stored error of 1.40e-15, and 0.26 7.5% at 1.99e-15.
+KLI, 8.1e-16 in MI), with 35.3 nodes a call on average; against 40-digit
+mpmath quadrature of the 1-D integrals it is 1.35e-15 in KLI and 7.7e-16
+in MI from zeta = 0 to the last double below 1/4, the tops of the
+octaves, farthest from their anchors, included, and SNR 2e-7 to 1e4.
+A step of 0.25 would save 3.7% of the nodes at a worst stored error of
+1.34e-15, and 0.26 7.5% at 1.99e-15.
 """
 
 import functools
@@ -86,10 +90,9 @@ from sfcar.records import record
 from sfcar.special import complete_elliptic_k, elliptic_agm
 
 _STEP = 0.24
-_SEAM = 0.25  # up to this |w| both callers take w - log1p(w) from `_phi`
-# 2 / (2j + 1) for j = 1..9: the atanh series of `_phi`, truncated where the
-# next term is below 5e-18 of the sum (|y| <= 1/7 for |w| <= _SEAM).
-_C3, _C5, _C7, _C9, _C11, _C13, _C15, _C17, _C19 = (2.0 / j for j in range(3, 20, 2))
+_SEAM = 0.4  # m, L or t up to which callers take sinh(m) - m from `_sinh_excess`
+# 1/3!, 1/5!, ..., 1/13! of `_sinh_excess`; the next term is < 8e-17 of the sum
+_S3, _S5, _S7, _S9, _S11, _S13 = (1.0 / math.factorial(j) for j in range(3, 14, 2))
 
 
 class InfoRates(record("InfoRates", "kli mi")):
@@ -118,7 +121,7 @@ def _sums(delta: float, nodes, sigma: float):
     """Return (kli, mi): the sums over nodes (h, weight), h = sin^2(w/2),
     of weight times the KL bracket and log1p(x) at g = (A0 - B)/c =
     delta + (1 - delta) h and k = (A0 + B)/c = 1 + (1 - delta) h."""
-    sqrt, log1p, phi = math.sqrt, math.log1p, _phi
+    sqrt, log1p, excess = math.sqrt, math.log1p, _sinh_excess
     spread = 1.0 - delta
     kli = mi = 0.0
     for h, weight in nodes:
@@ -132,26 +135,22 @@ def _sums(delta: float, nodes, sigma: float):
         rsum = r0 + r1
         x = (sigma / v) * (1.0 + (a + a + sigma) / rsum)
         m = log1p(x)
-        if x > _SEAM:
+        if m > _SEAM:
             if m == math.inf:  # x overflows once sigma is near the largest double
                 m = math.log(sigma / v) + log1p((a + a + sigma) / rsum)
             bracket = m - sigma / r1
         else:
-            # x - sigma/r1 without cancellation, less x - log1p(x)
-            a1 = a + sigma
-            bracket = sigma * sigma * ((a + a1) * (1.0 + a1 / rsum) + r0) / (v * r1 * rsum) - phi(x)
+            # coth(theta1) (cosh m - 1) - (sinh m - m), both terms >= 0
+            bracket = (a + sigma) / r1 * (x * x / (2.0 + 2.0 * x)) - excess(m)
         mi += weight * m
         kli += weight * bracket
     return kli, mi
 
 
-def _phi(w: float) -> float:
-    """w - log1p(w) >= 0 for |w| <= _SEAM, without cancellation: with
-    y = w / (2 + w), log1p(w) = 2 atanh(y) and w - 2 y = w y."""
-    y = w / (2.0 + w)
-    y2 = y * y
-    series = _C11 + y2 * (_C13 + y2 * (_C15 + y2 * (_C17 + y2 * _C19)))
-    return w * y - y * y2 * (_C3 + y2 * (_C5 + y2 * (_C7 + y2 * (_C9 + y2 * series))))
+def _sinh_excess(m: float) -> float:
+    """sinh(m) - m for |m| <= _SEAM from its odd Taylor series, without cancellation."""
+    m2 = m * m
+    return m * m2 * (_S3 + m2 * (_S5 + m2 * (_S7 + m2 * (_S9 + m2 * (_S11 + m2 * _S13)))))
 
 
 def _check_zeta_snr(zeta: float, snr: float) -> None:

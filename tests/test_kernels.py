@@ -43,10 +43,11 @@ class TestClosedForm:
 
 
 class TestSeam:
-    # on small tori near 1/4 the finite-N terms are large, and the arguments
-    # of rates._phi in -log1p(-u) - u and expm1(2D) - 2D fall on both sides
-    # of the seam; against the 40-digit decimal sum over all N^2 frequencies
-    # (worst seen 1.8e-15 in KLI)
+    # on small tori near 1/4 the finite-N terms are large, and the log
+    # variables L = -log1p(-u) and t = 2D of L - u and expm1(t) - t, which
+    # take sinh(L) - L and sinh(t) - t from rates._sinh_excess within the
+    # seam, fall on both sides of it; against the 40-digit decimal sum over
+    # all N^2 frequencies (worst seen 8.9e-16 in KLI)
     ZETAS = (0.1, 0.15, 0.194, 0.2, 0.22, 0.24, 0.249, 0.2499, 0.25 - 1e-6)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -55,8 +56,8 @@ class TestSeam:
             for snr in np.logspace(-2, 0, 40):
                 rates = torus_rates(zeta, float(snr), TorusSpec(n))
                 kli, mi = torus_rates_decimal(zeta, float(snr), n)
-                assert rates.kli == pytest.approx(kli, rel=2.5e-15, abs=0.0), (zeta, snr)
-                assert rates.mi == pytest.approx(mi, rel=2.5e-15, abs=0.0), (zeta, snr)
+                assert rates.kli == pytest.approx(kli, rel=1.5e-15, abs=0.0), (zeta, snr)
+                assert rates.mi == pytest.approx(mi, rel=1.5e-15, abs=0.0), (zeta, snr)
 
 
 class TestRowSum:

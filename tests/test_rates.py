@@ -11,8 +11,8 @@ from sfcar.errors import DomainError
 from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.rates import (
     _SEAM,
-    _phi,
     _rule,
+    _sinh_excess,
     _spectral_norm,
     _sums,
     InfoRates,
@@ -31,6 +31,7 @@ from oracles import (
     mean_log_d,
     mi_rate_1d,
     rates_by_snr_integral,
+    rates_mpmath,
     spectral_ratio,
     tensor_rate_sums,
 )
@@ -251,21 +252,22 @@ class TestSnrIntegral:
 
 
 class TestBracketSeam:
-    # The KL bracket switches from log1p(x) - sigma/r1 to x - sigma/r1 less
-    # _phi(x) at x = _SEAM.  At each node h = sin^2(w/2), where `_sums`
-    # takes g = delta + (1 - delta) h and k = 1 + (1 - delta) h, sigma is
-    # put just below and just above the seam, found in closed form: with
+    # The KL bracket switches from log1p(x) - sigma/r1 to
+    # coth(theta1) (cosh m - 1) - _sinh_excess(m) at m = log1p(x) = _SEAM.
+    # At each node h = sin^2(w/2), where `_sums` takes
+    # g = delta + (1 - delta) h and k = 1 + (1 - delta) h, sigma is put just
+    # below and just above the seam, found in closed form: with
     # A1 = a + sigma, r1 = sqrt((g + sigma)(k + sigma)) and v = a + r0,
-    # A1 + r1 = (1 + _SEAM) v at sigma = (c^2 - g k) / (2 (a + c)),
-    # c = (1 + _SEAM) v - a.  Both values are checked against 50-digit
-    # decimal arithmetic (worst seen 2.4e-15 over 128 points).
+    # A1 + r1 = e^_SEAM v at sigma = (c^2 - g k) / (2 (a + c)),
+    # c = e^_SEAM v - a.  Both values are checked against 50-digit
+    # decimal arithmetic (worst seen 2.1e-15 over 74 points).
     @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2, 0.2499, float(np.nextafter(0.25, 0.0))])
     def test_matches_decimal_on_both_sides(self, zeta):
         delta = 1.0 - 4.0 * zeta
         for h, _ in _rule(delta)[::4]:
             g, k = delta + (1.0 - delta) * h, 1.0 + (1.0 - delta) * h
             a, r0 = 0.5 * (g + k), math.sqrt(g * k)
-            c = (1.0 + _SEAM) * (a + r0) - a
+            c = math.exp(_SEAM) * (a + r0) - a
             seam = (c * c - g * k) / (2.0 * (a + c))
             for sigma, above in ((seam * (1.0 - 1e-9), False), (seam * (1.0 + 1e-9), True)):
                 bracket, m = _sums(delta, [(h, 1.0)], sigma)
@@ -276,16 +278,16 @@ class TestBracketSeam:
                     ratio = ((dg + dk) / 2 + ds + r1) / ((dg + dk) / 2 + (dg * dk).sqrt())
                     exact_m = ratio.ln()
                     exact_bracket = exact_m - ds / r1
-                    assert (ratio - 1 > Decimal(_SEAM)) == above
+                    assert (exact_m > Decimal(_SEAM)) == above
                 assert m == pytest.approx(float(exact_m), rel=2e-14, abs=0.0)
                 assert bracket == pytest.approx(float(exact_bracket), rel=2e-14, abs=0.0)
 
     def test_flat_spectrum_across_the_seam(self):
         # at zeta = 0, x = s on every node, and the rates are exactly
         # 0.5 ln(1 + s) - 0.5 s / (1 + s) and 0.5 ln(1 + s); 4,000 s across
-        # the seam against 40-digit decimal (worst seen 3.1e-15 in KLI, at
-        # s = 0.291 just above the seam, where log1p(x) and sigma/r1 cancel
-        # ninefold, and 1.1e-15 in MI)
+        # the seam against 40-digit decimal (worst seen 1.4e-15 in KLI, at
+        # s = 0.554 just above the seam, where log1p(x) and sigma/r1 cancel
+        # fivefold, and 5.6e-16 in MI)
         for snr in np.logspace(-2, math.log10(30.0), 4000):
             rates = info_rates(0.0, float(snr))
             with localcontext() as ctx:
@@ -293,17 +295,18 @@ class TestBracketSeam:
                 s = Decimal(float(snr))
                 mi = (1 + s).ln() / 2
                 kli = mi - s / (2 * (1 + s))
-            assert rates.kli == pytest.approx(float(kli), rel=3.5e-15, abs=0.0), snr
+            assert rates.kli == pytest.approx(float(kli), rel=2e-15, abs=0.0), snr
             assert rates.mi == pytest.approx(float(mi), rel=1.5e-15, abs=0.0), snr
 
-    def test_phi_matches_decimal(self):
-        # w - log1p(w) over the whole range the callers give it; only the
-        # torus's finite-N terms pass w < 0 (worst seen 4.4e-16)
-        for w in np.linspace(-_SEAM, _SEAM, 2001):
+    def test_sinh_excess_matches_decimal(self):
+        # sinh(m) - m over the whole range its callers give it, m >= 0, and
+        # its mirror (worst seen 4.2e-16)
+        for m in np.linspace(-_SEAM, _SEAM, 2001):
             with localcontext() as ctx:
                 ctx.prec = 40
-                exact = Decimal(float(w)) - (1 + Decimal(float(w))).ln()
-            assert _phi(float(w)) == pytest.approx(float(exact), rel=5e-16, abs=0.0), w
+                e = Decimal(float(m)).exp()
+                exact = (e - 1 / e) / 2 - Decimal(float(m))
+            assert _sinh_excess(float(m)) == pytest.approx(float(exact), rel=5e-16, abs=0.0), m
 
 
 class TestHighSnrClosedForm:
@@ -370,6 +373,16 @@ class TestQuadratureScheme:
             kli, mi = kli_rate_1d(zeta, snr), mi_rate_1d(zeta, snr)
             assert rates.kli == pytest.approx(kli, rel=1e-12, abs=0.0), zeta
             assert rates.mi == pytest.approx(mi, rel=1e-12, abs=0.0), zeta
+
+    def test_against_mpmath_near_the_quarter(self):
+        # near the last double below 1/4, at the grid's lowest SNR, SciPy's
+        # adaptive quadrature is itself 7.5e-16 from 40-digit mpmath, so the
+        # rule's error is stated against mpmath: 1.2e-15 in KLI, 6.9e-16 in MI
+        zeta, snr = 0.24999999999999967, 2e-7
+        kli, mi = rates_mpmath(zeta, snr)
+        rates = info_rates(zeta, snr)
+        assert rates.kli == pytest.approx(kli, rel=1.5e-15, abs=0.0)
+        assert rates.mi == pytest.approx(mi, rel=1.5e-15, abs=0.0)
 
     def test_node_count(self):
         # u = j K/N, N = ceil(K/0.24), from w = 0 (h = 0) to w = pi (h = 1),

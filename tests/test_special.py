@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import numpy as np
@@ -10,7 +11,7 @@ from sfcar.errors import DomainError
 from scipy.special import ellipe, k1
 from sfcar.special import bessel_k1, complete_elliptic_k, elliptic_agm
 
-from oracles import bessel_k1_integral, ellipk_integral
+from oracles import bessel_k1_integral, ellipk_integral, ellipk_mpmath
 
 # Frozen from the defining-integral oracles (ellipk_integral, bessel_k1_integral).
 K_HALF = 1.6857503548125963
@@ -54,6 +55,19 @@ class TestEllipticK:
         for k in grid:
             oracle = ellipk_integral(float(k))
             assert complete_elliptic_k(float(k)) == pytest.approx(oracle, rel=1e-9)
+
+    def test_near_one_against_mpmath(self):
+        # K(4 zeta) as the rates take it, on 3,000 seeded zeta with 1/4 - zeta
+        # log-uniform in (1e-16, 0.2) and at the 53 zeta whose delta =
+        # 1 - 4 zeta is a rule anchor 2^-1 .. 2^-53 (worst seen 5.1e-16, at
+        # zeta = 1/4 - 1.1e-10); the error is the AGM's rounding, about 4
+        # ulps, not its convergence
+        rng = random.Random(2008)
+        zetas = [0.25 - 10.0 ** rng.uniform(-16.0, math.log10(0.2)) for _ in range(3000)]
+        zetas += [0.25 * (1.0 - math.ldexp(1.0, -e)) for e in range(1, 54)]
+        for zeta in zetas:
+            k = 4.0 * zeta
+            assert complete_elliptic_k(k) == pytest.approx(ellipk_mpmath(k), rel=6e-16, abs=0.0), zeta
 
     @given(st.floats(min_value=0.0, max_value=0.998))
     @settings(max_examples=50, deadline=None)
