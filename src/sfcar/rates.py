@@ -78,8 +78,9 @@ KLI, 8.1e-16 in MI), with 35.3 nodes a call on average; against 40-digit
 mpmath quadrature of the 1-D integrals it is 1.35e-15 in KLI and 7.7e-16
 in MI from zeta = 0 to the last double below 1/4, the tops of the
 octaves, farthest from their anchors, included, and SNR 2e-7 to 1e4.
-A step of 0.25 would save 3.7% of the nodes at a worst stored error of
-1.34e-15, and 0.26 7.5% at 1.99e-15.
+A step of 0.25 would save 3.7% of the nodes (worst stored error
+1.34e-15) but put the rule's integral of g, pi (1 + delta)/2, 9.7e-15
+and 1.5e-14 off at delta = 2^-18 and 2^-29, so the step stays 0.24.
 """
 
 import functools

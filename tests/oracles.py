@@ -41,6 +41,18 @@ def ellipk_mpmath(k: float) -> float:
         return float(mpmath.ellipk(mpmath.mpf(k) ** 2))
 
 
+def elliptic_s_mpmath(k: float) -> float:
+    """S = (E - k'^2 K) / k^2 at exactly this double modulus, as
+    (E(m) - (1 - m) K(m)) / m with m = k^2 by mpmath, whose difference
+    loses -log10(m) digits: they are added to 40.  pi/4 at k = 0."""
+    m = mpmath.mpf(k) ** 2
+    if not m:
+        return math.pi / 4.0
+    with mpmath.workdps(40 + max(0, int(-mpmath.log10(m)))):
+        m = mpmath.mpf(k) ** 2
+        return float((mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m)) / m)
+
+
 def bessel_k1_integral(x: float) -> float:
     """K_1(x) from the integral representation
     K_1(x) = integral_0^inf exp(-x cosh t) cosh t dt."""

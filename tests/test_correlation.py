@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import warnings
 
@@ -148,9 +149,15 @@ class TestZetaOfRho:
 # rho at zeta = 1/8 (k = 1/2), where the solver's start changes, from the
 # elliptic integral oracle.
 RHO_EIGHTH = rho_of_zeta_elliptic(0.125)
-# 520 edge correlations from the series cutoff to beyond the paper rows'
-# largest (0.955), so past rho ~ 0.9205, from which zeta rounds to 1/4.
+# 520 edge correlations from 1e-4 to beyond the paper rows' largest
+# (0.955), so past rho ~ 0.9205, from which zeta rounds to 1/4.
 SOLVER_GRID = [float(r) for r in np.linspace(1e-4, 0.955, 520)]
+# Below it: log-spaced from 1e-300, and 200 seeded on [5e-5, 1e-4), which
+# holds the paper rows' smallest (6.45e-5, n = 9) and where the start
+# rho - 5 rho^3 alone is up to 23 ulps off.
+_SEEDED = random.Random(29)
+SMALL_GRID = [float(r) for r in np.logspace(-300, -4, 296, endpoint=False)]
+SMALL_GRID += [_SEEDED.uniform(5e-5, 1e-4) for _ in range(200)]
 # Above the paper rows up to rho ~ 0.9956, where delta reaches the
 # smallest normal double and the solver's bracket ends, and on to the
 # last double below 1.
@@ -164,7 +171,7 @@ class TestSolver:
         # delta near 1 would fix zeta only to ulp(delta)/4, 2,000 ulps of
         # zeta at rho = 1e-4, so the lower range is checked in zeta.
         worst = 0.0
-        for rho in SOLVER_GRID:
+        for rho in SMALL_GRID + SOLVER_GRID:
             if rho < RHO_EIGHTH:
                 expected = zeta_of_rho_decimal(rho)
             else:
@@ -184,7 +191,8 @@ class TestSolver:
 
     def test_stops_at_tolerance(self, monkeypatch):
         # Newton from a close start, not a fixed count of bisections: at
-        # most 8 AGM evaluations a call, 4 on average
+        # most 8 AGM evaluations a call, 4 on average, and one below
+        # rho = 1e-4, where the start is within 31 rho^5 of the root
         calls = []
         agm = sfcar.correlation.elliptic_agm
 
@@ -201,6 +209,10 @@ class TestSolver:
             counts.append(len(calls))
         assert max(counts) <= 8
         assert sum(counts) / len(counts) <= 4.0
+        for rho in SMALL_GRID:
+            calls.clear()
+            zeta_of_rho(rho)
+            assert len(calls) == 1, rho
 
     @pytest.mark.parametrize("rho", [0.93, 0.99, 0.995, 0.999, 1.0 - 2.0**-53, 1.0])
     def test_quarter_by_rounding_up_to_one(self, rho):
@@ -211,8 +223,8 @@ class TestSolver:
             assert zeta_of_rho(rho) == 0.25
 
 
-# Around the series cutoff of zeta_of_rho (1e-4), where the closed form
-# would cancel, and far below, where the SciPy oracle still resolves them.
+# Around 1e-4, where E - k'^2 K would cancel in the solver's slope, and
+# far below, where the SciPy oracle still resolves them.
 SMALL_ARGUMENTS = [1e-150, 1e-20, 1e-6, 9.9e-5, 1.0001e-4, 3e-4, 1e-3, 1e-2]
 
 

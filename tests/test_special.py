@@ -11,7 +11,7 @@ from sfcar.errors import DomainError
 from scipy.special import ellipe, k1
 from sfcar.special import bessel_k1, complete_elliptic_k, elliptic_agm
 
-from oracles import bessel_k1_integral, ellipk_integral, ellipk_mpmath
+from oracles import bessel_k1_integral, elliptic_s_mpmath, ellipk_integral, ellipk_mpmath
 
 # Frozen from the defining-integral oracles (ellipk_integral, bessel_k1_integral).
 K_HALF = 1.6857503548125963
@@ -76,15 +76,17 @@ class TestEllipticK:
 
 
 class TestEllipticE:
-    # E is the second value of elliptic_agm, with k' rebuilt from k
+    # E = k'^2 K + k^2 S from elliptic_agm, with k' rebuilt from k
     @staticmethod
     def big_e(k):
-        return elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[1]
+        kc2 = (1.0 - k) * (1.0 + k)
+        big_k, big_s, _ = elliptic_agm(k, math.sqrt(kc2))
+        return kc2 * big_k + k * k * big_s
 
     def test_against_scipy(self):
         # k from its complement k' = 1e-15 .. 1; below k' ~ 1.5e-8, k
-        # rounds to 1 and is skipped (196 points remain).  E/K is a difference that loses up to ~log10(K)
-        # digits as k -> 1 (measured worst 4.7e-15).
+        # rounds to 1 and is skipped (196 points remain).  S/K is a difference that loses up to ~log10(K)
+        # digits as k -> 1 (measured worst 3.8e-15).
         for kc in np.logspace(-15, 0, 300):
             k = math.sqrt((1.0 - kc) * (1.0 + kc))
             if k < 1.0:
@@ -96,12 +98,14 @@ class TestEllipticE:
 
 
 class TestEllipticAgm:
-    # K, E and (1 - pi/(2K))/k from one AGM driven by the complementary modulus
+    # K, S = (E - k'^2 K)/k^2 and (1 - pi/(2K))/k from one AGM driven by
+    # the complementary modulus
     @pytest.mark.parametrize("k", [0.0, 1e-3, 0.5, 0.9, 0.999999])
     def test_matches_single_integrals(self, k):
         kc = math.sqrt((1.0 - k) * (1.0 + k))
-        big_k, big_e, deficit = elliptic_agm(k, kc)
+        big_k, big_s, deficit = elliptic_agm(k, kc)
         assert big_k == complete_elliptic_k(k)  # one AGM loop, not two
+        big_e = kc * kc * big_k + k * k * big_s
         assert big_e == pytest.approx(ellipe(k * k), rel=1e-14)
         if k == 0.0:
             assert deficit == 0.0
@@ -115,6 +119,19 @@ class TestEllipticAgm:
         for k in map(float, np.linspace(0.0, 0.9999, 2001)):
             kc = math.sqrt((1.0 - k) * (1.0 + k))
             assert elliptic_agm(k, kc)[0] == complete_elliptic_k(k)
+
+    def test_s_against_mpmath(self):
+        # S is summed, not taken as E - k'^2 K, which cancels as k -> 0:
+        # from the smallest subnormal to k = 1 - 1e-15, where it loses
+        # about log10(K) digits as E does (worst seen 2.3e-15, at
+        # k = 1 - 1e-14); pi/4 exactly at k = 0
+        assert elliptic_agm(0.0, 1.0)[1] == math.pi / 4.0
+        grid = [5e-324, 1e-300, 1e-150, 1e-20]
+        grid += [10.0 ** (-e / 4.0) for e in range(1, 41)]
+        grid += [1.0 - 10.0**-e for e in range(1, 16)]
+        for k in grid:
+            big_s = elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[1]
+            assert big_s == pytest.approx(elliptic_s_mpmath(k), rel=5e-15, abs=0.0), k
 
     def test_complement_carries_precision(self):
         # k = 1 - delta rounds; k' = sqrt(delta (2 - delta)) does not: K
