@@ -28,10 +28,9 @@ import bisect
 import math
 import os
 import sys
-from collections.abc import Sequence
 
 from sfcar.correlation import PhysicalEnvironment, edge_correlation, zeta_of_rho
-from sfcar.density import N_MAX_CAP, ScenarioConfig, SweepRow, optimize, sweep
+from sfcar.density import N_MAX_CAP, ScenarioConfig, optimize, sweep
 from sfcar.errors import DomainError, NoFeasibleDensityError
 from sfcar.lattice import TorusSpec, torus_rates
 from sfcar.network import Deployment, EnergyModel
@@ -57,7 +56,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             args = _apply_config_file(parser, argv, args)
-        return args.handler(args)
+        _emit(args.handler(args), args)
+        return EXIT_OK
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -179,7 +179,7 @@ def _snr_linear(snr_db: float) -> float:
         ) from None
 
 
-def _cmd_rates(args: argparse.Namespace) -> int:
+def _cmd_rates(args: argparse.Namespace) -> list[dict]:
     _require(args, "zeta", "snr_db")
     snr = _snr_linear(args.snr_db)
     rates = info_rates(args.zeta, snr)
@@ -190,11 +190,10 @@ def _cmd_rates(args: argparse.Namespace) -> int:
         "kli_rate": rates.kli,
         "mi_rate": rates.mi,
     }
-    _emit([record], list(record), args)
-    return EXIT_OK
+    return [record]
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
+def _cmd_map(args: argparse.Namespace) -> list[dict]:
     _require(args, "alpha", "spacing")
     env = PhysicalEnvironment(args.alpha)
     rho = edge_correlation(env, args.spacing)
@@ -204,8 +203,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         "rho": rho,
         "zeta": zeta_of_rho(rho),
     }
-    _emit([record], list(record), args)
-    return EXIT_OK
+    return [record]
 
 
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
@@ -266,20 +264,16 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = sweep(_scenario_from_args(args))
-    _emit([r._asdict() for r in rows], SweepRow._fields, args)
-    return EXIT_OK
+def _cmd_sweep(args: argparse.Namespace) -> list[dict]:
+    return [row._asdict() for row in sweep(_scenario_from_args(args))]
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    record = optimize(_scenario_from_args(args), args.objective)._asdict()
-    record["objective"] = args.objective
-    _emit([record], [*SweepRow._fields, "objective"], args)
-    return EXIT_OK
+def _cmd_optimize(args: argparse.Namespace) -> list[dict]:
+    row = optimize(_scenario_from_args(args), args.objective)
+    return [{**row._asdict(), "objective": args.objective}]
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> list[dict]:
     _require(args, "zeta", "snr_db", "N")
     specs = []
     for n in args.N:
@@ -303,8 +297,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 "abs_gap_mi": abs(torus.mi - quad.mi),
             }
         )
-    _emit(records, list(records[0]), args)
-    return EXIT_OK
+    return records
 
 
 def _format_cell(value) -> str:
@@ -315,7 +308,9 @@ def _format_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _emit(records: list[dict], fields: Sequence[str], args: argparse.Namespace) -> None:
+def _emit(records: list[dict], args: argparse.Namespace) -> None:
+    # every command returns at least one record, all with the same keys
+    fields = list(records[0])
     if args.format == "json":
         import json
 

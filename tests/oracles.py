@@ -53,6 +53,19 @@ def elliptic_s_mpmath(k: float) -> float:
         return float((mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m)) / m)
 
 
+def rho_second_derivative_mpmath(u: float) -> float:
+    """d^2 rho / du^2 of the SFCAR edge correlation rho = (1 - pi/(2K(k)))/k
+    in u = log(delta), k = 1 - delta, by mpmath's numerical derivative at
+    30 + |u|/2.3 digits, so that k = -expm1(u) keeps 30 digits of delta."""
+    with mpmath.workdps(30 + int(abs(u) / 2.3)):
+
+        def rho(v):
+            k = -mpmath.expm1(v)
+            return (1 - mpmath.pi / (2 * mpmath.ellipk(k * k))) / k
+
+        return float(mpmath.diff(rho, mpmath.mpf(u), 2))
+
+
 def bessel_k1_integral(x: float) -> float:
     """K_1(x) from the integral representation
     K_1(x) = integral_0^inf exp(-x cosh t) cosh t dt."""

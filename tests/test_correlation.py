@@ -20,6 +20,7 @@ from oracles import (
     bessel_k1_integral,
     delta_of_rho,
     rho_of_zeta_elliptic,
+    rho_second_derivative_mpmath,
     zeta_of_rho_brent,
     zeta_of_rho_decimal,
 )
@@ -159,9 +160,11 @@ _SEEDED = random.Random(29)
 SMALL_GRID = [float(r) for r in np.logspace(-300, -4, 296, endpoint=False)]
 SMALL_GRID += [_SEEDED.uniform(5e-5, 1e-4) for _ in range(200)]
 # Above the paper rows up to rho ~ 0.9956, where delta reaches the
-# smallest normal double and the solver's bracket ends, and on to the
-# last double below 1.
+# smallest normal double, the solver's lower clamp, and on to the last
+# double below 1.
 SATURATED_GRID = [float(r) for r in np.linspace(0.9205, 0.995, 200)] + [1.0 - 2.0**-53]
+# Roots below the smallest normal delta, from rho ~ 0.99559.
+BELOW_CLAMP_GRID = [float(r) for r in np.linspace(0.9956, 1.0 - 2.0**-53, 50)]
 
 
 class TestSolver:
@@ -190,9 +193,10 @@ class TestSolver:
         assert zeta_of_rho(grid[0]) < 0.25 == zeta_of_rho(grid[-1])
 
     def test_stops_at_tolerance(self, monkeypatch):
-        # Newton from a close start, not a fixed count of bisections: at
-        # most 8 AGM evaluations a call, 4 on average, and one below
-        # rho = 1e-4, where the start is within 31 rho^5 of the root
+        # Newton from a close start: at most 5 AGM evaluations a call, 4
+        # on average, and one below rho = 1e-4, where the start is within
+        # 31 rho^5 of the root, and above rho ~ 0.99559, where the first
+        # step falls below the lower clamp and stays there
         calls = []
         agm = sfcar.correlation.elliptic_agm
 
@@ -207,12 +211,32 @@ class TestSolver:
             calls.clear()
             zeta_of_rho(rho)
             counts.append(len(calls))
-        assert max(counts) <= 8
+        assert max(counts) <= 5
         assert sum(counts) / len(counts) <= 4.0
         for rho in SMALL_GRID:
             calls.clear()
             zeta_of_rho(rho)
             assert len(calls) == 1, rho
+        for rho in BELOW_CLAMP_GRID:
+            calls.clear()
+            assert zeta_of_rho(rho) == 0.25, rho
+            assert len(calls) == 1, rho
+
+    def test_concave_in_log_delta(self):
+        # The solver's descent from above needs rho concave in u = log(delta)
+        # (it is decreasing, as rho_of_zeta increases), from the lower clamp
+        # up to u -> 0
+        grid = -np.logspace(math.log10(-math.log(2.0**-1022)), -12, 48)
+        assert all(rho_second_derivative_mpmath(float(u)) < 0.0 for u in grid)
+
+    def test_root_below_the_upper_clamp(self):
+        # K(k) <= pi/(2k') gives rho <= (1 - k')/k = k/(1 + k') <= k = 4 zeta,
+        # so the root u* = log(1 - k) lies at or below log1p(-rho)
+        zetas = [zeta_of_rho(rho) for rho in SOLVER_GRID] + SMALL_ARGUMENTS
+        for zeta in zetas:
+            k = 4.0 * zeta
+            bound = k / (1.0 + math.sqrt((1.0 - k) * (1.0 + k)))
+            assert rho_of_zeta(zeta) <= bound <= k, zeta
 
     @pytest.mark.parametrize("rho", [0.93, 0.99, 0.995, 0.999, 1.0 - 2.0**-53, 1.0])
     def test_quarter_by_rounding_up_to_one(self, rho):
