@@ -11,12 +11,13 @@ with identical field names.  Floats are emitted in shortest round-trip
 form, so outputs keep full double precision and can serve as regression
 fixtures.
 
-sweep and optimize bound the lattice index n either directly (--n-min,
---n-max) or by density (--mu-min, --mu-max); a lattice flag and a
-density flag for the same end exclude each other.  Density bounds are
-inclusive and exact: they select the rows whose printed mu_n lies
-within them.  Only optimize takes --objective {kli|mi} (default kli),
-the total it maximizes; a sweep prints both.
+sweep and optimize bound the lattice index n directly (--n-min, --n-max)
+or by density (--mu-min, --mu-max); a lattice flag and a density flag
+for the same end exclude each other.  Density bounds are inclusive and
+exact: they select the rows whose printed mu_n lies within them.  With
+no upper bound, rows end at the feasibility boundary but never past
+N_MAX_CAP = 500, even where larger lattices are feasible.  Only optimize
+takes --objective {kli|mi} (default kli), the total it maximizes.
 
 Exit codes: 0 success, 2 invalid input or unwritable output, 3 no
 feasible density.  A reader that closes stdout early (`sfcar sweep ...
@@ -58,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
             args = _apply_config_file(parser, argv, args)
         _emit(args.handler(args), args)
         return EXIT_OK
-    except (DomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except NoFeasibleDensityError as exc:
@@ -164,10 +165,8 @@ def _apply_config_file(
 def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
-        raise DomainError(
-            "missing required option(s): "
-            + ", ".join("--" + n.replace("_", "-") for n in missing)
-        )
+        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
+        raise DomainError(f"missing required option(s): {flags}")
 
 
 def _snr_linear(snr_db: float) -> float:

@@ -78,14 +78,11 @@ def edge_correlation(env: PhysicalEnvironment, spacing: float) -> float:
 def rho_of_zeta(zeta: float) -> float:
     """Edge correlation of an SFCAR field with edge dependence factor zeta.
 
-    Endpoints are exact by continuous extension: rho(0) = 0 and
-    rho(1/4) = 1.  Otherwise (1 - pi/(2 K(4 zeta))) / (4 zeta) from one
-    AGM, whose positive terms sum to 0 at zeta = 0.
+    (1 - pi/(2 K(4 zeta))) / (4 zeta) from one AGM, whose positive terms
+    sum to 0 at zeta = 0 and to 1 at 1/4 (kc = 0, K = 2.3e17 finite).
     """
     if not 0.0 <= zeta <= 0.25:
         raise DomainError(f"zeta must lie in [0, 1/4], got {zeta!r}")
-    if zeta == 0.25:
-        return 1.0
     k = 4.0 * zeta
     return elliptic_agm(k, math.sqrt((1.0 - k) * (1.0 + k)))[2]
 

@@ -121,8 +121,9 @@ def evaluate_density(config: ScenarioConfig, n: int) -> SweepRow:
 
 
 def feasibility_boundary(config: ScenarioConfig) -> int:
-    """Smallest n >= n_min past which every lattice size is infeasible,
-    capped at N_MAX_CAP.
+    """Smallest n >= n_min from which every lattice size is infeasible,
+    capped at N_MAX_CAP even where larger lattices are feasible: on the
+    paper scenario at E = 201 that n is 501, and 500 is returned.
 
     Total communication energy f(n) = 2n(n+1)(2n+1) E0 (L/n)^nu is, as a
     function of log n, a sum of exponentials with positive coefficients,
@@ -146,7 +147,8 @@ def feasibility_boundary(config: ScenarioConfig) -> int:
 
 
 def sweep(config: ScenarioConfig) -> list[SweepRow]:
-    """One SweepRow per n in [n_min, n_max], ascending."""
+    """One SweepRow per n in [n_min, n_max], ascending; n_max None means
+    feasibility_boundary, so at most N_MAX_CAP even where larger n are feasible."""
     n_max = config.n_max if config.n_max is not None else feasibility_boundary(config)
     return [evaluate_density(config, n) for n in range(config.n_min, n_max + 1)]
 

@@ -70,4 +70,4 @@ def torus_rates(zeta: float, snr: float, spec: TorusSpec) -> InfoRates:
     if n % 2 == 0:
         weights[-1] = 1.0 / n
     kli, mi = kernels.rate_sums(rows, weights, range(n), zeta, snr)
-    return InfoRates(max(kli, 0.0), max(mi, 0.0))
+    return InfoRates(kli, mi)

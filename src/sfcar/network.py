@@ -10,6 +10,7 @@ density is infeasible exactly when E_s = 0: nothing is left to sense with.
 """
 
 import math
+import sys
 
 from sfcar.errors import DomainError
 from sfcar.rates import InfoRates
@@ -27,6 +28,8 @@ class Deployment(record("Deployment", "half_width n")):
         n = integer(n, "lattice index")
         if n < 1:
             raise DomainError(f"lattice index must be >= 1, got {n!r}")
+        if hop_count_sum(n) > sys.float_info.max:  # exact: an int against a float
+            raise DomainError("lattice index too large: 2n(n+1)(2n+1) hops overflow a double")
         self = super().__new__(cls, half_width, n)
         side = 2.0 * half_width
         if not (0.0 < side * side < math.inf and self.density < math.inf):
@@ -94,9 +97,8 @@ def hop_count_sum(n: int) -> int:
 
 def total_comm_energy(energy: EnergyModel, deployment: Deployment) -> float:
     """Energy to deliver every measurement to the fusion center."""
-    return hop_count_sum(deployment.n) * comm_energy_per_edge(
-        energy, deployment.spacing
-    )
+    hop = comm_energy_per_edge(energy, deployment.spacing)
+    return hop_count_sum(deployment.n) * hop
 
 
 def sensing_energy_per_node(energy: EnergyModel, deployment: Deployment) -> float:

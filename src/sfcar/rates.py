@@ -13,8 +13,8 @@ over [-pi, pi]^2, with the SNR-normalized spectral ratio
 The normalization makes the frequency average of s equal to SNR exactly,
 separating the SNR and correlation dependencies.  Rates are in nats per
 node.  At zeta = 1/4 both rates are defined to be 0 (the limiting value
-as correlation becomes perfect).  At SNR = 0 the general sum gives +0:
-x = m = 0 and both terms of the KL bracket below are 0 at every node.
+as correlation becomes perfect).  Every node's log1p(x) and KL bracket
+below are >= 0, so the sums need no clamp; at SNR = 0 both are +0.
 
 The inner w2 integral has closed forms (Gradshteyn & Ryzhik 2.553,
 4.224): int_0^pi log(A - B cos w) dw = pi log((A + r)/2) and
@@ -115,7 +115,7 @@ def info_rates(zeta: float, snr: float) -> InfoRates:
     if delta == 0.0:
         return InfoRates(0.0, 0.0)
     kli, mi = _sums(delta, _rule(delta), snr / _spectral_norm(zeta))
-    return InfoRates(max(kli / (2.0 * math.pi), 0.0), max(mi / (2.0 * math.pi), 0.0))
+    return InfoRates(kli / (2.0 * math.pi), mi / (2.0 * math.pi))
 
 
 def _sums(delta: float, nodes, sigma: float):

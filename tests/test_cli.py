@@ -31,6 +31,15 @@ SUBNORMAL_ARGS = ["--L", "1", "--E", "5e-324", "--alpha", "100", "--beta", "1",
 ENERGY_FIELDS = ("e_s", "snr", "kli_rate", "mi_rate", "total_kli", "total_mi")
 
 
+def buffered_child_env():
+    # stdout buffered, as a shell usually leaves it: with PYTHONUNBUFFERED
+    # each write reaches the pipe at once, and a child without the flush in
+    # `cli._emit` or its redirect of stdout would still pass
+    env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -79,9 +88,6 @@ class TestRatesCommand:
 
     def test_domain_violation_exits_2(self, capsys):
         assert main(["rates", "--zeta", "0.3", "--snr-db", "0"]) == 2
-
-    def test_missing_option_exits_2(self, capsys):
-        assert main(["rates", "--zeta", "0.1"]) == 2
 
 
 class TestMapCommand:
@@ -431,20 +437,27 @@ print(json.dumps([code, *built]))
 
 class TestClosedPipe:
     # A reader that leaves early (`sfcar sweep ... | head`) ends the output
-    # quietly.  The E=200 JSON sweep, about 200 KB, overfills a pipe buffer,
-    # so the write meets the closed pipe wherever the race falls.
-    def test_sweep_into_closed_pipe(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
-        argv = ["sweep", *PAPER_ARGS, "--format", "json"]
-        argv[argv.index("--E") + 1] = "200"
+    # quietly: exit 0 and nothing on stderr.
+    def into_closed_pipe(self, argv):
         proc = subprocess.Popen(
             [sys.executable, "-m", "sfcar.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=buffered_child_env(), text=True,
         )
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
-        assert "Traceback" not in err
+        assert err == ""
+
+    def test_sweep_into_closed_pipe(self):
+        # the E=200 JSON sweep, about 200 KB, overfills a pipe buffer, so
+        # the write meets the closed pipe wherever the race falls
+        argv = ["sweep", *PAPER_ARGS, "--format", "json"]
+        argv[argv.index("--E") + 1] = "200"
+        self.into_closed_pipe(argv)
+
+    def test_rates_into_closed_pipe(self):
+        # one buffered line, met by the closed pipe at the flush
+        self.into_closed_pipe(["rates", "--zeta", "0.2", "--snr-db", "10"])
 
 
 class TestFullStdout:
@@ -457,12 +470,11 @@ class TestFullStdout:
         ids=["rates", "sweep-json"],
     )
     def test_write_to_full_device(self, argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(sfcar.__file__).resolve().parents[1]))
         with open("/dev/full", "w") as full:
             done = subprocess.run(
                 [sys.executable, "-m", "sfcar.cli", *argv],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=env, check=False,
-                timeout=60,
+                stdout=full, stderr=subprocess.PIPE, text=True, env=buffered_child_env(),
+                check=False, timeout=60,
             )
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: stdout: ")
@@ -489,6 +501,15 @@ class TestConfigFile:
         code, out = run(capsys, ["sweep", "--config", str(cfg), "--n-max", "2",
                                  "--format", "json"])
         assert [r["n"] for r in json.loads(out)] == [1, 2]
+
+    def test_file_read_when_argv_is_none(self, capsys, tmp_path, monkeypatch):
+        # main() reads sys.argv, as `python -m sfcar.cli` has it
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"zeta": 0.2, "snr_db": 10}))
+        monkeypatch.setattr(sys, "argv", ["sfcar", "rates", "--config", str(cfg), "--format=json"])
+        code, out = run(capsys, None)
+        assert code == 0
+        assert json.loads(out)[0]["kli_rate"] == info_rates(0.2, 10.0).kli
 
     def test_full_precision_round_trip(self, capsys):
         # CSV floats re-parse to the exact library doubles
@@ -526,6 +547,30 @@ class TestRejectedInput:
     def test_overflowing_map_product(self, capsys):
         err = self.rejected(capsys, ["map", "--alpha", "1e308", "--spacing", "1e10"])
         assert "alpha" in err and "spacing" in err
+
+    REQUIRED = {
+        "rates": ["--zeta", "0.1", "--snr-db", "0"],
+        "map": ["--alpha", "100", "--spacing", "0.1"],
+        "sweep": PAPER_ARGS,
+        "optimize": PAPER_ARGS,
+        "validate": ["--zeta", "0.1", "--snr-db", "0", "--N", "16"],
+    }
+
+    @pytest.mark.parametrize(
+        "command,flag", [(c, flag) for c, flags in REQUIRED.items() for flag in flags[::2]]
+    )
+    def test_missing_option_exits_2(self, capsys, command, flag):
+        flags = self.REQUIRED[command]
+        at = flags.index(flag)
+        err = self.rejected(capsys, [command, *flags[:at], *flags[at + 2:]])
+        assert err == f"error: missing required option(s): {flag}\n"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"', "null"])
+    def test_config_not_an_object(self, capsys, tmp_path, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        err = self.rejected(capsys, ["rates", "--config", str(cfg)])
+        assert err == f"error: --config {cfg}: expected a JSON object of option values\n"
 
     def test_missing_config_file(self, capsys, tmp_path):
         path = str(tmp_path / "absent.json")

@@ -81,6 +81,11 @@ class TestEvaluateDensity:
         assert row.mu_n == pytest.approx(401**2 / 4.0)
         assert 0.0 <= row.zeta <= 0.25
 
+    def test_lattice_past_the_double_range(self):
+        # its hop count, 4e330, would overflow when multiplied by a double
+        with pytest.raises(DomainError, match="too large"):
+            evaluate_density(paper_scenario(), 10**110)
+
     def test_underflowing_sensing_energy_is_infeasible(self):
         # E = 5e-324 is positive, but E / 9 underflows: E_s = 0 means
         # infeasible even though communication is free

@@ -104,7 +104,7 @@ class TestTorusRates:
         with pytest.raises(DomainError):
             TorusSpec(TORUS_N_MAX + 1)
         assert TorusSpec(TORUS_N_MAX).n_per_axis == TORUS_N_MAX
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="zeta = 1/4"):
             torus_rates(0.25, 1.0, TorusSpec(8))
         with pytest.raises(DomainError):
             torus_rates(0.1, -1.0, TorusSpec(8))

@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,13 +31,37 @@ class TestDeployment:
         assert dep.density == pytest.approx(49.0 / 4.0)
 
     # (2L)^2 overflows at 1e300 and underflows to 0 at 1e-300; at 1e-154
-    # it is finite but the density 9 / (2L)^2 overflows
+    # it is finite but the density 9 / (2L)^2 overflows; at n = 1e110 and
+    # 1e200 the hop count 2n(n+1)(2n+1) is past the largest double
     @pytest.mark.parametrize(
-        "L,n", [(0.0, 1), (-1.0, 2), (1.0, 0), (1e300, 1), (1e-300, 1), (1e-154, 1)]
+        "L,n",
+        [(0.0, 1), (-1.0, 2), (1.0, 0), (1e300, 1), (1e-300, 1), (1e-154, 1),
+         (1.0, 10**110), (1.0, 10**200)],
     )
     def test_validation(self, L, n):
         with pytest.raises(DomainError):
             Deployment(half_width=L, n=n)
+
+    def test_largest_lattice(self):
+        # the last n whose hop count is at most the largest double, by
+        # bisection over exact integers
+        lo, hi = 1, 10**103
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if hop_count_sum(mid) > sys.float_info.max else (mid, hi)
+        assert 3.55e102 < lo < 3.56e102
+        assert Deployment(1.0, lo).density == pytest.approx((2 * lo + 1) ** 2 / 4)
+        with pytest.raises(DomainError, match="too large"):
+            Deployment(1.0, lo + 1)
+
+    def test_comm_energy_of_a_huge_lattice(self):
+        # the int hop count, 4e300, times a double: against exact rationals,
+        # E0 (L/n)^2 2n(n+1)(2n+1) with E0 = 1/10 and L = 1
+        n = 10**100
+        exact = Fraction(1, 10) * Fraction(hop_count_sum(n), n * n)
+        got = total_comm_energy(PAPER_ENERGY, Deployment(1.0, n))
+        assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert sensing_energy_per_node(PAPER_ENERGY, Deployment(1.0, n)) == 0.0
 
 
 class TestEnergyModel:

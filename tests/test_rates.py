@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -309,6 +310,38 @@ class TestBracketSeam:
             assert _sinh_excess(float(m)) == pytest.approx(float(exact), rel=5e-16, abs=0.0), m
 
 
+class TestNoClamp:
+    # info_rates and torus_rates return their sums as they stand: every
+    # node's log1p(x) and KL bracket is >= +0.0, never -0.0, and so the
+    # torus's sums satisfy 0 <= kli <= mi, which InfoRates checks.  zeta
+    # log-uniform from 1e-300 and 1/4 - 10^U(-16, -1); SNR = 0 or
+    # log-uniform from 1e-320 to 1e308.
+    @staticmethod
+    def points(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            if rng.random() < 0.5:
+                zeta = 0.25 * 10.0 ** rng.uniform(-300.0, 0.0)
+            else:
+                zeta = 0.25 - 10.0 ** rng.uniform(-16.0, -1.0)
+            snr = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-320.0, 308.0)
+            yield zeta, snr
+
+    def test_every_node_non_negative(self):
+        for zeta, snr in self.points(1, 10_000):
+            delta = 1.0 - 4.0 * zeta
+            sigma = snr / _spectral_norm(zeta)
+            for h, _ in _rule(delta):
+                for value in _sums(delta, [(h, 1.0)], sigma):
+                    assert value >= 0.0 and math.copysign(1.0, value) == 1.0, (zeta, snr, h)
+
+    def test_torus_sums_non_negative(self):
+        for j, (zeta, snr) in enumerate(self.points(2, 10_000)):
+            rates = torus_rates(zeta, snr, TorusSpec(2 + j % 15))
+            signs = math.copysign(1.0, rates.kli), math.copysign(1.0, rates.mi)
+            assert signs == (1.0, 1.0), (zeta, snr)
+
+
 class TestHighSnrClosedForm:
     # As SNR -> inf, mi -> (1/2) log(SNR / c) - (1/2) <log D> and
     # kli -> mi - 1/2, with the O(1/SNR) rest below an ulp from SNR = 1e100
@@ -510,7 +543,9 @@ class TestValidation:
          (math.nan, 1.0)],
     )
     def test_domain_errors(self, zeta, snr):
-        with pytest.raises(DomainError):
+        # each names its argument: past 1/4, K(4 zeta) would report a modulus
+        subject = "^snr" if 0.0 <= zeta <= 0.25 else "^zeta"
+        with pytest.raises(DomainError, match=subject):
             info_rates(zeta, snr)
 
     def test_info_rates_invariant(self):
